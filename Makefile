@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race verify bench chaos soak fleet-soak bench-durability ring-chaos bench-ring matrix-smoke store-chaos
+.PHONY: all build vet test race verify bench chaos soak fleet-soak bench-durability ring-chaos bench-ring matrix-smoke store-chaos perfbench-check
 
 all: verify
 
@@ -88,3 +88,10 @@ bench-ring:
 matrix-smoke:
 	$(GO) test -race -count=1 ./internal/matrix/
 	$(GO) run -race ./cmd/drmatrix run -q -json matrix-grid.json scenarios/table1.yaml
+
+# Vet and test the benchmark module. perfbench/ is a Go module of its
+# own (it imports this one through a replace directive), so the root
+# build never compiles it: an API change here can break the benchmark
+# silently without this check.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...

@@ -152,7 +152,7 @@ func BenchmarkFig14ExecSlice(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	slicer, err := sess.Slicer()
+	slicer, err := slice.New(prog, tr, slice.DefaultOptions())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -184,7 +184,7 @@ func BenchmarkSlicingOverhead(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		s, err := sess.Slicer()
+		s, err := slice.New(prog, tr, slice.DefaultOptions())
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -270,8 +270,8 @@ func Workloads() []*Workload { return workloads.All() }
 func DefaultSliceOptions() SliceOptions { return slice.DefaultOptions() }
 
 // NewParallelSlicer builds the sharded parallel slicing engine over a
-// collected trace. Slice results are bit-identical to the sequential
-// slicer for every criterion and worker count.
+// collected trace. Slice results are bit-identical to the paper's
+// sequential slicer (slice.New) for every criterion and worker count.
 func NewParallelSlicer(prog *Program, tr *Trace, opts SliceOptions, popts ParallelSliceOptions) (*ParallelSlicer, error) {
 	return slice.NewParallel(prog, tr, opts, popts)
 }

@@ -239,7 +239,7 @@ func execSliceRow(cfg *Config, w *workloads.Workload) (*Fig14Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	slicer, err := sess.Slicer()
+	slicer, err := slice.New(prog, tr, slice.DefaultOptions())
 	if err != nil {
 		return nil, err
 	}
@@ -316,7 +316,7 @@ func SlicingOverhead(cfg Config) ([]OverheadSummary, error) {
 		if err != nil {
 			return nil, err
 		}
-		slicer, err := sess.Slicer()
+		slicer, err := slice.New(prog, tr, slice.DefaultOptions())
 		if err != nil {
 			return nil, err
 		}

@@ -22,15 +22,15 @@ import (
 )
 
 // Session is one cyclic-debugging session: a program plus the pinball
-// capturing the execution (region) under study. Traces and slicers are
-// computed lazily and cached — PinPlay's repeatability guarantee makes
-// one trace valid for every replay of the same pinball.
+// capturing the execution (region) under study. The trace and the
+// slicing engine are computed lazily and cached — PinPlay's
+// repeatability guarantee makes one trace valid for every replay of the
+// same pinball.
 type Session struct {
 	Prog    *isa.Program
 	Pinball *pinball.Pinball
 
 	trace    *tracer.Trace
-	slicer   *slice.Slicer
 	parallel *slice.ParallelSlicer
 	workers  int
 	opts     slice.Options
@@ -94,27 +94,17 @@ func LoadSession(prog *isa.Program, pinballPath string) (*Session, error) {
 	return Open(prog, pb), nil
 }
 
-// SetSliceOptions configures the slicer used by subsequent slice requests,
-// invalidating any cached slicer.
+// SetSliceOptions configures the engine used by subsequent slice
+// requests, invalidating the session's engine.
 func (s *Session) SetSliceOptions(opts slice.Options) {
 	s.opts = opts
-	s.slicer = nil
 	s.parallel = nil
 }
 
-// SetParallelWorkers routes subsequent slice requests through the
-// sharded parallel engine with the given worker count (0 restores the
-// sequential slicer). Slice results are bit-identical either way; only
-// the build cost changes.
-func (s *Session) SetParallelWorkers(n int) {
-	if n < 0 {
-		n = 0
-	}
-	if n != s.workers {
-		s.workers = n
-		s.parallel = nil
-	}
-}
+// SetParallelWorkers sizes the slicing engine's build pool (0 means
+// GOMAXPROCS). Slice results do not depend on it; only the build cost
+// does.
+func (s *Session) SetParallelWorkers(n int) { s.workers = n }
 
 // effective returns the pinball replays should run against: the
 // session's own pinball, or — for a flight-recorder pinball with
@@ -262,27 +252,10 @@ func (h *lateTracer) OnInstr(ev *vm.InstrEvent)    { h.t.OnInstr(ev) }
 func (h *lateTracer) OnOrderEdge(e vm.OrderEdge)   { h.t.OnOrderEdge(e) }
 func (h *lateTracer) OnSyscall(r vm.SyscallRecord) { h.t.OnSyscall(r) }
 
-// Slicer returns the session's slicer (forward analysis run once, then
-// reused across slice requests).
-func (s *Session) Slicer() (*slice.Slicer, error) {
-	if s.slicer != nil {
-		return s.slicer, nil
-	}
-	tr, err := s.Trace()
-	if err != nil {
-		return nil, err
-	}
-	sl, err := slice.New(s.Prog, tr, s.opts)
-	if err != nil {
-		return nil, err
-	}
-	s.slicer = sl
-	return sl, nil
-}
-
-// ParallelSlicer returns the session's sharded parallel engine,
-// building it (or fetching it from the process-lifetime engine cache,
-// keyed by the pinball's content identity) on first use.
+// ParallelSlicer returns the sharded parallel engine that answers every
+// slice request of the session, building it (or fetching it from the
+// process-lifetime engine cache, keyed by the pinball's content
+// identity) on first use.
 func (s *Session) ParallelSlicer() (*slice.ParallelSlicer, error) {
 	if s.parallel != nil {
 		return s.parallel, nil
@@ -305,16 +278,6 @@ func (s *Session) ParallelSlicer() (*slice.ParallelSlicer, error) {
 	}
 	s.parallel = eng
 	return eng, nil
-}
-
-// Querier returns the engine answering the session's slice requests:
-// the parallel engine when SetParallelWorkers enabled it, the
-// sequential slicer otherwise.
-func (s *Session) Querier() (slice.Querier, error) {
-	if s.workers > 0 {
-		return s.ParallelSlicer()
-	}
-	return s.Slicer()
 }
 
 // SliceAtFailure computes the backward slice of the failure point (the
@@ -368,11 +331,11 @@ func (s *Session) ResolveCriterion(varName string, tid int, line int32, nth int)
 // member and edge that touches a bridged or estimated window is tagged,
 // and the slice carries a provenance summary.
 func (s *Session) SliceFor(crit tracer.Ref) (*slice.Slice, error) {
-	q, err := s.Querier()
+	eng, err := s.ParallelSlicer()
 	if err != nil {
 		return nil, err
 	}
-	sl, err := q.Slice(crit)
+	sl, err := eng.Slice(crit)
 	if err != nil {
 		return nil, err
 	}

@@ -1,8 +1,9 @@
 package fleet
 
 import (
-	"sync"
 	"time"
+
+	"repro/internal/supervisor"
 )
 
 // BreakerConfig tunes the per-worker transport circuit breaker.
@@ -15,90 +16,27 @@ type BreakerConfig struct {
 	Cooldown time.Duration
 }
 
-func (c BreakerConfig) withDefaults() BreakerConfig {
-	if c.K == 0 {
-		c.K = 3
-	}
-	if c.Cooldown <= 0 {
-		c.Cooldown = 5 * time.Second
-	}
-	return c
-}
-
-type workerBreakerEntry struct {
-	consecutive int
-	openUntil   time.Time
-}
-
 // workerBreaker is the per-worker circuit breaker, layered over
 // sessiond's per-pinball breaker: it counts only transport failures
 // (dial refused, connection severed, I/O deadline) — a typed session
 // failure is the pinball's fault, not the worker's, and charging it
 // here would let one corrupt pinball take a healthy worker out of
 // routing for everyone.
-type workerBreaker struct {
-	cfg BreakerConfig
-	now func() time.Time
-
-	mu      sync.Mutex
-	entries map[string]*workerBreakerEntry
-}
+type workerBreaker struct{ *supervisor.Breaker }
 
 func newWorkerBreaker(cfg BreakerConfig, now func() time.Time) *workerBreaker {
-	if now == nil {
-		now = time.Now
+	if cfg.Cooldown <= 0 {
+		cfg.Cooldown = 5 * time.Second
 	}
-	return &workerBreaker{cfg: cfg.withDefaults(), now: now, entries: make(map[string]*workerBreakerEntry)}
+	return &workerBreaker{supervisor.NewBreaker(cfg.K, cfg.Cooldown, now)}
 }
 
-// open reports whether name's circuit is currently open (the router
-// must skip it).
+// open reports whether name's circuit is open (the router must skip it).
 func (b *workerBreaker) open(name string) bool {
-	if b.cfg.K < 0 {
-		return false
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	e, ok := b.entries[name]
-	return ok && b.now().Before(e.openUntil)
+	open, _, _ := b.Check(name)
+	return open
 }
 
-// failure records one transport failure; the K-th consecutive one opens
-// the circuit for the cooldown.
-func (b *workerBreaker) failure(name string) {
-	if b.cfg.K < 0 {
-		return
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	e, ok := b.entries[name]
-	if !ok {
-		e = &workerBreakerEntry{}
-		b.entries[name] = e
-	}
-	e.consecutive++
-	if e.consecutive >= b.cfg.K {
-		e.openUntil = b.now().Add(b.cfg.Cooldown)
-	}
-}
-
-// success closes name's circuit.
-func (b *workerBreaker) success(name string) {
-	b.mu.Lock()
-	delete(b.entries, name)
-	b.mu.Unlock()
-}
-
-// openCount reports how many worker circuits are currently open.
-func (b *workerBreaker) openCount() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	now := b.now()
-	n := 0
-	for _, e := range b.entries {
-		if now.Before(e.openUntil) {
-			n++
-		}
-	}
-	return n
-}
+func (b *workerBreaker) failure(name string) { b.Failure(name, "", "") }
+func (b *workerBreaker) success(name string) { b.Success(name) }
+func (b *workerBreaker) openCount() int      { return b.OpenCount() }

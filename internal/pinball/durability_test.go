@@ -31,9 +31,6 @@ func TestSaveLeavesNoTempFiles(t *testing.T) {
 	if err := pb.Save(filepath.Join(dir, "a.pinball")); err != nil {
 		t.Fatal(err)
 	}
-	if err := pb.SaveLegacy(filepath.Join(dir, "b.pinball")); err != nil {
-		t.Fatal(err)
-	}
 	for _, name := range readDir(t, dir) {
 		if strings.Contains(name, ".tmp") {
 			t.Errorf("staging file %s left behind", name)
@@ -52,9 +49,6 @@ func TestFailedSaveKeepsExistingFile(t *testing.T) {
 	pb := samplePinball()
 	if err := pb.Save(target); err == nil {
 		t.Fatal("Save over a directory succeeded")
-	}
-	if err := pb.SaveLegacy(target); err == nil {
-		t.Fatal("SaveLegacy over a directory succeeded")
 	}
 	if st, err := os.Stat(target); err != nil || !st.IsDir() {
 		t.Errorf("existing target clobbered: %v %v", st, err)
@@ -318,22 +312,6 @@ func TestSalvageIntactFile(t *testing.T) {
 	}
 	if got.RegionInstrs != pb.RegionInstrs {
 		t.Error("intact salvage altered the pinball")
-	}
-}
-
-func TestSalvageLegacyFails(t *testing.T) {
-	pb := samplePinball()
-	path := filepath.Join(t.TempDir(), "v0.pinball")
-	if err := pb.SaveLegacy(path); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, _, err = pinball.SalvageBytes(data[:len(data)/2])
-	if !errors.Is(err, pinball.ErrUnsalvageable) {
-		t.Fatalf("torn legacy: err = %v, want ErrUnsalvageable", err)
 	}
 }
 

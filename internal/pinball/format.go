@@ -37,10 +37,9 @@ func packPayload(v any) ([]byte, error) {
 }
 
 // On-disk framing. Every pinball starts with the magic and a format
-// version byte:
+// version byte (version 1, the unframed pre-checksum format, is no
+// longer read and fails as version skew):
 //
-//	version 1 ("legacy v0"): one gzip stream holding the gob of the whole
-//	Pinball struct — no checksums, no bounds. Still readable.
 //	version 2 ("format v1"): kind byte, section count, then framed
 //	sections: id (1B), payload length (8B big-endian), CRC32-IEEE of the
 //	compressed payload (4B), payload (gzip-compressed gob). Truncation,
@@ -52,7 +51,6 @@ func packPayload(v any) ([]byte, error) {
 //	longest checkpoint-consistent prefix.
 const (
 	fileMagic      = "DRPB"
-	versionLegacy  = byte(1) // pre-framing format, kept readable
 	versionFramed  = byte(2) // atomic-save format ("pinball format v1")
 	versionJournal = byte(3) // incremental journal written during recording
 )
@@ -242,7 +240,7 @@ func Load(path string) (*Pinball, error) {
 	return p, nil
 }
 
-// Decode parses pinball file bytes (both format versions), verifying
+// Decode parses pinball file bytes (framed or journal), verifying
 // checksums and structural invariants.
 func Decode(data []byte) (*Pinball, error) {
 	if len(data) < len(fileMagic)+1 {
@@ -254,14 +252,12 @@ func Decode(data []byte) (*Pinball, error) {
 	var p *Pinball
 	var err error
 	switch v := data[len(fileMagic)]; v {
-	case versionLegacy:
-		p, err = decodeLegacy(data[len(fileMagic)+1:])
 	case versionFramed:
 		p, err = decodeFramed(data)
 	case versionJournal:
 		p, err = decodeJournal(data)
 	default:
-		return nil, fmt.Errorf("%w: file has version %d, this build reads up to %d", ErrVersionSkew, v, versionJournal)
+		return nil, fmt.Errorf("%w: file has version %d, this build reads %d-%d", ErrVersionSkew, v, versionFramed, versionJournal)
 	}
 	if err != nil {
 		return nil, err
@@ -270,21 +266,6 @@ func Decode(data []byte) (*Pinball, error) {
 		return nil, err
 	}
 	return p, nil
-}
-
-// decodeLegacy reads the pre-framing format: gzip over the gob of the
-// whole struct.
-func decodeLegacy(body []byte) (*Pinball, error) {
-	zr, err := gzip.NewReader(bytes.NewReader(body))
-	if err != nil {
-		return nil, fmt.Errorf("%w: legacy decompress: %v", ErrCorrupt, err)
-	}
-	defer zr.Close()
-	var p Pinball
-	if err := gobDecode(zr, &p); err != nil {
-		return nil, err
-	}
-	return &p, nil
 }
 
 // frame is one parsed section frame: its id, 1-based position in the
@@ -493,30 +474,6 @@ func SectionOffsets(data []byte) ([]SectionInfo, error) {
 		off += sectionHeaderLen + n
 	}
 	return out, nil
-}
-
-// SaveLegacy writes the pinball in the pre-framing v0 format (magic,
-// version byte 1, one gzip+gob stream) — kept only so compatibility
-// tests and the fault-injection harness can produce legacy files. Like
-// Save, the write is staged and atomically renamed: a mid-write error
-// removes the staging file and never clobbers an existing good pinball.
-func (p *Pinball) SaveLegacy(path string) error {
-	cp := *p
-	cp.CheckpointEvery, cp.Checkpoints = 0, nil // fields v0 never had
-	err := writeFileAtomic(path, func(w io.Writer) error {
-		if _, err := w.Write(append([]byte(fileMagic), versionLegacy)); err != nil {
-			return err
-		}
-		zw := gzip.NewWriter(w)
-		if err := gob.NewEncoder(zw).Encode(&cp); err != nil {
-			return fmt.Errorf("encode: %w", err)
-		}
-		return zw.Close()
-	})
-	if err != nil {
-		return fmt.Errorf("pinball: save %s: %w", path, err)
-	}
-	return nil
 }
 
 // EncodedSize returns the on-disk size of the pinball in bytes by

@@ -148,13 +148,19 @@ func TestLoadRejectsWrongVersionAndMagic(t *testing.T) {
 		t.Fatal(err)
 	}
 	version := data[4]
-	data[4] = 99 // version byte
-	bad := filepath.Join(dir, "badver.pinball")
-	if err := os.WriteFile(bad, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := pinball.Load(bad); !errors.Is(err, pinball.ErrVersionSkew) {
-		t.Errorf("wrong version: err = %v, want ErrVersionSkew", err)
+	// 99 is from the future; 1 is the retired unframed format.
+	for _, v := range []byte{99, 1} {
+		data[4] = v // version byte
+		bad := filepath.Join(dir, "badver.pinball")
+		if err := os.WriteFile(bad, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := pinball.Load(bad); !errors.Is(err, pinball.ErrVersionSkew) {
+			t.Errorf("version %d: err = %v, want ErrVersionSkew", v, err)
+		}
+		if _, _, err := pinball.SalvageBytes(data); !errors.Is(err, pinball.ErrUnsalvageable) {
+			t.Errorf("version %d: salvage err = %v, want ErrUnsalvageable", v, err)
+		}
 	}
 	// Too short to even hold the magic.
 	tiny := filepath.Join(dir, "tiny")

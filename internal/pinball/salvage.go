@@ -133,11 +133,6 @@ func SalvageBytes(data []byte) (*Pinball, *SalvageReport, error) {
 	}
 	rep.Version = data[len(fileMagic)]
 	switch rep.Version {
-	case versionLegacy:
-		// Legacy files are one opaque gzip stream: no frame boundaries to
-		// recover at.
-		rep.DamageCause = "legacy format has no section framing to salvage"
-		return nil, rep, fmt.Errorf("%w: damaged legacy (v0) pinball has no recoverable framing", ErrUnsalvageable)
 	case versionFramed:
 		return salvageFramed(data, rep)
 	case versionJournal:

@@ -5,9 +5,9 @@ import (
 	"hash/fnv"
 	"io"
 	"os"
-	"sort"
-	"sync"
 	"time"
+
+	"repro/internal/supervisor"
 )
 
 // BreakerConfig tunes the per-pinball circuit breaker.
@@ -20,49 +20,22 @@ type BreakerConfig struct {
 	Cooldown time.Duration
 }
 
-func (c BreakerConfig) withDefaults() BreakerConfig {
-	if c.K == 0 {
-		c.K = 3
-	}
-	if c.Cooldown <= 0 {
-		c.Cooldown = 30 * time.Second
-	}
-	return c
-}
-
-// breakerEntry is one pinball's failure history.
-type breakerEntry struct {
-	consecutive int
-	openUntil   time.Time
-	// Cached failure report served while the circuit is open, so a
-	// fast-failed client still learns what is wrong with the pinball.
-	lastCode string
-	lastErr  string
-}
-
-// breaker is the per-pinball circuit breaker. Sessions against a
+// breaker is the per-pinball circuit breaker: sessions against a
 // pinball whose content has failed K times in a row fail fast with the
-// cached report until the cooldown expires; then one (or a raced few)
-// trial requests pass, and a single further failure re-opens the
-// circuit for another cooldown, while a success closes it.
+// cached failure report until the cooldown expires (see
+// supervisor.Breaker for the trial/re-open rules).
 //
 // Keys are content digests of the pinball file, not paths: replacing a
 // corrupt file with a good one under the same name closes its circuit
 // instantly, and copying a corrupt file to a new path does not reset
 // its failure history.
-type breaker struct {
-	cfg BreakerConfig
-	now func() time.Time
-
-	mu      sync.Mutex
-	entries map[string]*breakerEntry
-}
+type breaker struct{ *supervisor.Breaker }
 
 func newBreaker(cfg BreakerConfig, now func() time.Time) *breaker {
-	if now == nil {
-		now = time.Now
+	if cfg.Cooldown <= 0 {
+		cfg.Cooldown = 30 * time.Second
 	}
-	return &breaker{cfg: cfg.withDefaults(), now: now, entries: make(map[string]*breakerEntry)}
+	return &breaker{supervisor.NewBreaker(cfg.K, cfg.Cooldown, now)}
 }
 
 // pinballContentID digests a pinball file's bytes for breaker keying.
@@ -110,89 +83,27 @@ func RouteKey(req *Request) string {
 	}
 }
 
-// check reports whether the circuit for id is open; when open it
-// returns the cached failure code and message.
-func (b *breaker) check(id string) (open bool, code, msg string) {
-	if b.cfg.K < 0 || id == "" {
-		return false, "", ""
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	e, ok := b.entries[id]
-	if !ok || b.now().Before(e.openUntil) == false {
-		return false, "", ""
-	}
-	return true, e.lastCode, e.lastErr
-}
-
-// success closes id's circuit.
-func (b *breaker) success(id string) {
-	if b.cfg.K < 0 || id == "" {
-		return
-	}
-	b.mu.Lock()
-	delete(b.entries, id)
-	b.mu.Unlock()
-}
-
-// failure records a session failure attributable to the pinball's
-// content; the K-th consecutive one opens the circuit for the cooldown
-// (and a failed post-cooldown trial re-opens it immediately).
-func (b *breaker) failure(id, code, msg string) {
-	if b.cfg.K < 0 || id == "" {
-		return
-	}
-	b.mu.Lock()
-	e, ok := b.entries[id]
-	if !ok {
-		e = &breakerEntry{}
-		b.entries[id] = e
-	}
-	e.consecutive++
-	e.lastCode, e.lastErr = code, msg
-	if e.consecutive >= b.cfg.K {
-		e.openUntil = b.now().Add(b.cfg.Cooldown)
-	}
-	b.mu.Unlock()
-}
+func (b *breaker) check(id string) (bool, string, string) { return b.Check(id) }
+func (b *breaker) failure(id, code, msg string)           { b.Failure(id, code, msg) }
+func (b *breaker) success(id string)                      { b.Success(id) }
+func (b *breaker) openCount() int                         { return b.OpenCount() }
 
 // snapshot reports every tracked circuit's state for the stats op,
 // sorted by key so the JSON shape is deterministic. Keys are rendered
 // hex (content digests are raw bytes on the wire otherwise).
 func (b *breaker) snapshot() []BreakerState {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if len(b.entries) == 0 {
-		return nil
-	}
-	now := b.now()
-	out := make([]BreakerState, 0, len(b.entries))
-	for id, e := range b.entries {
+	var out []BreakerState
+	for _, e := range b.Snapshot() {
 		st := BreakerState{
-			Pinball:     fmt.Sprintf("%x", id),
-			Open:        now.Before(e.openUntil),
-			Consecutive: e.consecutive,
-			LastCode:    e.lastCode,
+			Pinball:     fmt.Sprintf("%x", e.Key),
+			Open:        e.Open,
+			Consecutive: e.Consecutive,
+			LastCode:    e.Code,
 		}
 		if st.Open {
-			st.CooldownUntilMS = e.openUntil.UnixMilli()
+			st.CooldownUntilMS = e.OpenUntil.UnixMilli()
 		}
 		out = append(out, st)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Pinball < out[j].Pinball })
 	return out
-}
-
-// openCount reports how many circuits are currently open.
-func (b *breaker) openCount() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	now := b.now()
-	n := 0
-	for _, e := range b.entries {
-		if now.Before(e.openUntil) {
-			n++
-		}
-	}
-	return n
 }

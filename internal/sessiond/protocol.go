@@ -177,7 +177,7 @@ type Request struct {
 	Tid  int    `json:"tid,omitempty"`
 	Line int    `json:"line,omitempty"`
 	Nth  int    `json:"nth,omitempty"`
-	// Workers selects the parallel slicing engine (0 = sequential).
+	// Workers sizes the slicing engine's build pool (0 = GOMAXPROCS).
 	Workers int `json:"workers,omitempty"`
 
 	// Record parameters: where to save the pinball, program input and

@@ -254,19 +254,11 @@ func (r *runner) slice(req *Request, limits vm.Limits) (*sessionResult, error) {
 	// retry under the server's backoff policy.
 	var sl *drdebug.Slice
 	rep, err := supervisor.Run(supervisor.PhaseSlice, r.sup, func() error {
-		var serr error
-		switch {
-		case req.Var != "":
-			sl, serr = sess.SliceForVariable(req.Var)
-		case req.Line > 0:
-			nth := req.Nth
-			if nth <= 0 {
-				nth = 1
-			}
-			sl, serr = sess.SliceAtLine(req.Tid, int32(req.Line), nth)
-		default:
-			sl, serr = sess.SliceAtFailure()
+		crit, serr := sess.ResolveCriterion(req.Var, req.Tid, int32(req.Line), req.Nth)
+		if serr != nil {
+			return serr
 		}
+		sl, serr = sess.SliceFor(crit)
 		return serr
 	})
 	out := &sessionResult{report: rep}

@@ -15,6 +15,7 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/pinball"
 	"repro/internal/pinplay"
+	"repro/internal/slice"
 	"repro/internal/supervisor"
 	"repro/internal/vm"
 
@@ -263,6 +264,39 @@ func TestReplaySliceDualSliceOverTCP(t *testing.T) {
 	resp = c.do(&Request{Op: OpReplay, File: f.src, Pinball: f.torn, Salvage: true})
 	if !resp.OK || resp.Code != CodeSalvaged {
 		t.Fatalf("salvaged replay: %+v", resp)
+	}
+}
+
+// TestWorkersOnlySizesTheBuildPool checks that Workers does not choose
+// an engine: a Workers=0 slice after a Workers=2 one on the same
+// pinball is answered by the cached engine, with the same digest.
+func TestWorkersOnlySizesTheBuildPool(t *testing.T) {
+	f := makeDaemonFixture(t)
+	_, addr := startServer(t, Config{Supervisor: fastSup()})
+	c := dialT(t, addr)
+
+	sliceWith := func(workers int) SliceResult {
+		t.Helper()
+		resp := c.do(&Request{Op: OpSlice, File: f.src, Pinball: f.good, Var: "counter", Workers: workers})
+		if !resp.OK {
+			t.Fatalf("slice (workers=%d): %+v", workers, resp)
+		}
+		var sr SliceResult
+		if err := json.Unmarshal(resp.Result, &sr); err != nil {
+			t.Fatal(err)
+		}
+		return sr
+	}
+	slice.ResetEngineCache()
+	par := sliceWith(2)
+	before := slice.GetEngineCacheStats()
+	seq := sliceWith(0)
+	after := slice.GetEngineCacheStats()
+	if after.Hits != before.Hits+1 || after.Misses != before.Misses {
+		t.Fatalf("workers=0 slice was not an engine-cache hit: before %+v, after %+v", before, after)
+	}
+	if seq.Digest != par.Digest || seq.Digest == "" {
+		t.Fatalf("digest: workers=0 %q, workers=2 %q", seq.Digest, par.Digest)
 	}
 }
 

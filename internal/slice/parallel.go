@@ -15,8 +15,8 @@ import (
 )
 
 // Querier is the slice-computation interface shared by the sequential
-// Slicer and the parallel engine, so sessions and tools can switch
-// implementations without caring which one answers.
+// Slicer (the paper's algorithm and the test oracle) and the parallel
+// engine, so benchmarks and differential tests can drive either one.
 type Querier interface {
 	Slice(crit tracer.Ref) (*Slice, error)
 }
