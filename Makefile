@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race verify bench chaos soak fleet-soak bench-durability ring-chaos bench-ring matrix-smoke store-chaos perfbench-check
+.PHONY: all build vet test race verify bench chaos soak fleet-soak bench-durability ring-chaos bench-ring matrix-smoke store-chaos perfbench-check fuzz-smoke
 
 all: verify
 
@@ -95,3 +95,10 @@ matrix-smoke:
 # silently without this check.
 perfbench-check:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
+# Bounded fuzz of the pinball reader: FuzzDecode runs every input
+# through Decode and SalvageBytes, which must return a typed error or a
+# valid pinball and never panic. Crashers land in
+# internal/pinball/testdata/fuzz/ and are replayed by plain go test.
+fuzz-smoke:
+	$(GO) test -run='^$$' -fuzz=FuzzDecode -fuzztime=15s ./internal/pinball/

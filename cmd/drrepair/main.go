@@ -1,7 +1,7 @@
 // Command drrepair salvages damaged pinball files: it keeps the longest
-// checksum-valid prefix of sections, truncates an interrupted recording
-// journal to its last intact divergence checkpoint, and writes the
-// recovered pinball back out as a clean framed file.
+// checksum-valid prefix of frames, truncates it to its last intact
+// divergence checkpoint unless the whole region survived, and writes the
+// recovered pinball back out as a clean, committed file.
 //
 // Usage:
 //

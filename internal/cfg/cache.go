@@ -3,6 +3,7 @@ package cfg
 import (
 	"sync"
 
+	"repro/internal/fnv1a"
 	"repro/internal/isa"
 	"repro/internal/lru"
 )
@@ -17,13 +18,6 @@ import (
 // stale graphs are never returned (no invalidation protocol needed —
 // superseded entries just stop being requested).
 
-const (
-	fnvOffset uint64 = 14695981039346656037
-	fnvPrime  uint64 = 1099511628211
-)
-
-func fold(h uint64, v int64) uint64 { return (h ^ uint64(v)) * fnvPrime }
-
 // Fingerprint digests a program's code so cache keys distinguish
 // programs beyond their name. Computed once per program (cached behind
 // a lock, keyed by pointer identity — Program values are immutable
@@ -36,16 +30,16 @@ func Fingerprint(prog *isa.Program) uint64 {
 	}
 	fingerMu.Unlock()
 
-	h := fnvOffset
+	h := fnv1a.Offset
 	for _, b := range []byte(prog.Name) {
-		h = fold(h, int64(b))
+		h = fnv1a.Fold(h, uint64(b))
 	}
 	for _, in := range prog.Code {
-		h = fold(h, int64(in.Op))
-		h = fold(h, int64(in.Rd))
-		h = fold(h, int64(in.Rs1))
-		h = fold(h, int64(in.Rs2))
-		h = fold(h, in.Imm)
+		h = fnv1a.Fold(h, uint64(in.Op))
+		h = fnv1a.Fold(h, uint64(in.Rd))
+		h = fnv1a.Fold(h, uint64(in.Rs1))
+		h = fnv1a.Fold(h, uint64(in.Rs2))
+		h = fnv1a.Fold(h, uint64(in.Imm))
 	}
 
 	fingerMu.Lock()
@@ -69,7 +63,7 @@ type graphKey struct {
 // targetsDigest folds the (sorted) indirect-target map an analyzer
 // passes to Build.
 func targetsDigest(targets map[int64][]int64) uint64 {
-	h := fnvOffset
+	h := fnv1a.Offset
 	// Fold order must be deterministic: iterate jump pcs in sorted order.
 	// The per-pc target lists are already sorted by the analyzer.
 	pcs := make([]int64, 0, len(targets))
@@ -82,9 +76,9 @@ func targetsDigest(targets map[int64][]int64) uint64 {
 		}
 	}
 	for _, pc := range pcs {
-		h = fold(h, pc)
+		h = fnv1a.Fold(h, uint64(pc))
 		for _, t := range targets[pc] {
-			h = fold(h, t)
+			h = fnv1a.Fold(h, uint64(t))
 		}
 	}
 	return h

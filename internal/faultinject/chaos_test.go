@@ -72,9 +72,7 @@ func sameState(a, b *vm.Machine) bool {
 
 // TestJournalCrashPoints tears a committed recording journal at every
 // frame boundary, header byte and payload midpoint, and checks the full
-// durability contract at each: Decode rejects the torn file typed, and
-// Salvage either truncates to a divergence checkpoint whose prefix
-// replays bit-identically to the original recording, or refuses typed.
+// durability contract at each (checkCrashPoints).
 func TestJournalCrashPoints(t *testing.T) {
 	prog := compileT(t)
 	cfg := logConfig()
@@ -95,54 +93,12 @@ func TestJournalCrashPoints(t *testing.T) {
 	} else if got.ID() != pb.ID() {
 		t.Fatalf("journal pinball id %x != recorded %x", got.ID(), pb.ID())
 	}
-
-	pts := CrashPoints(data)
-	if len(pts) < 20 {
+	if pts := CrashPoints(data); len(pts) < 20 {
 		t.Fatalf("only %d crash points in a %d-byte journal", len(pts), len(data))
 	}
-	refs := map[int64]*vm.Machine{} // original-prefix replays, by step
-	var salvaged, unsalvageable int
-	for _, cp := range pts {
-		torn := TornCopy(data, cp)
-		if len(torn) == len(data) {
-			continue // the "crash" lost nothing
-		}
-		if _, err := pinball.Decode(torn); err == nil {
-			t.Errorf("%s: torn journal decoded cleanly", cp.Name)
-			continue
-		} else if !typedPinballErr(err) {
-			t.Errorf("%s: decode error is untyped: %v", cp.Name, err)
-		}
-		spb, rep, err := pinball.SalvageBytes(torn)
-		if err != nil {
-			if !errors.Is(err, pinball.ErrUnsalvageable) {
-				t.Errorf("%s: salvage error is untyped: %v", cp.Name, err)
-			}
-			unsalvageable++
-			continue
-		}
-		salvaged++
-		if !rep.Truncated || rep.CheckpointStep != spb.RegionInstrs {
-			t.Errorf("%s: report (truncated=%v step=%d) inconsistent with pinball (%d instrs)",
-				cp.Name, rep.Truncated, rep.CheckpointStep, spb.RegionInstrs)
-			continue
-		}
-		m, _, err := pinplay.ReplayWith(prog, spb, boundedOpts())
-		if err != nil {
-			t.Errorf("%s: salvaged pinball does not replay: %v", cp.Name, err)
-			continue
-		}
-		ref := refs[spb.RegionInstrs]
-		if ref == nil {
-			if ref, _, err = pinplay.ReplayToStep(prog, pb, spb.RegionInstrs, boundedOpts()); err != nil {
-				t.Fatalf("%s: reference prefix replay to %d: %v", cp.Name, spb.RegionInstrs, err)
-			}
-			refs[spb.RegionInstrs] = ref
-		}
-		if !sameState(m, ref) {
-			t.Errorf("%s: salvaged replay diverges from the original execution's first %d instructions",
-				cp.Name, spb.RegionInstrs)
-		}
+	salvaged, unsalvageable, unverified := checkCrashPoints(t, prog, "journal", pb, data)
+	if unverified > 0 {
+		t.Errorf("%d journal salvages lost every checkpoint — a journal tear must anchor at one or keep the region verified", unverified)
 	}
 	if salvaged == 0 {
 		t.Error("no crash point was salvageable — the journal never anchored a checkpoint")
@@ -150,13 +106,90 @@ func TestJournalCrashPoints(t *testing.T) {
 	if unsalvageable == 0 {
 		t.Error("no crash point was unsalvageable — early tears should cost the meta/state frames")
 	}
-	t.Logf("journal: %d crash points, %d salvaged, %d refused typed", len(pts), salvaged, unsalvageable)
+}
+
+// TestOneShotCrashPoints applies the same contract to what Save writes
+// for every pinball kind: the whole recording as one committed journal.
+// A tear past the schedule chunk must salvage for every kind.
+func TestOneShotCrashPoints(t *testing.T) {
+	prog := compileT(t)
+	for kind, pb := range makePinballs(t) {
+		data, err := pb.EncodeBytes()
+		if err != nil {
+			t.Fatalf("encode %v: %v", kind, err)
+		}
+		if salvaged, _, _ := checkCrashPoints(t, prog, string(kind), pb, data); salvaged == 0 {
+			t.Errorf("%v: no crash point was salvageable — a tear past the schedule keeps the region", kind)
+		}
+	}
+}
+
+// checkCrashPoints tears data, the encoding of pb, at every crash point:
+// Decode must reject each torn file typed, and Salvage must either
+// truncate it to a divergence checkpoint whose prefix replays
+// bit-identically to the original recording (or, with the final meta
+// and the whole schedule intact, recover the whole region, which must
+// replay identically), or refuse typed. unverified counts the whole-region
+// salvages that lost every checkpoint.
+func checkCrashPoints(t *testing.T, prog *isa.Program, label string, pb *pinball.Pinball, data []byte) (salvaged, unsalvageable, unverified int) {
+	t.Helper()
+	pts := CrashPoints(data)
+	refs := map[int64]*vm.Machine{} // original-prefix replays, by step
+	for _, cp := range pts {
+		torn := TornCopy(data, cp)
+		if len(torn) == len(data) {
+			continue // the "crash" lost nothing
+		}
+		name := label + "/" + cp.Name
+		if _, err := pinball.Decode(torn); err == nil {
+			t.Errorf("%s: torn file decoded cleanly", name)
+			continue
+		} else if !typedPinballErr(err) {
+			t.Errorf("%s: decode error is untyped: %v", name, err)
+		}
+		spb, rep, err := pinball.SalvageBytes(torn)
+		if err != nil {
+			if !errors.Is(err, pinball.ErrUnsalvageable) {
+				t.Errorf("%s: salvage error is untyped: %v", name, err)
+			}
+			unsalvageable++
+			continue
+		}
+		salvaged++
+		if rep.Truncated && (rep.Unverified || rep.CheckpointStep != spb.RegionInstrs) ||
+			!rep.Truncated && (rep.Unverified != (len(spb.Checkpoints) == 0) || spb.RegionInstrs != pb.RegionInstrs) {
+			t.Errorf("%s: report (truncated=%v unverified=%v step=%d) inconsistent with pinball (%d of %d instrs)",
+				name, rep.Truncated, rep.Unverified, rep.CheckpointStep, spb.RegionInstrs, pb.RegionInstrs)
+			continue
+		}
+		if rep.Unverified {
+			unverified++
+		}
+		m, _, err := pinplay.ReplayWith(prog, spb, boundedOpts())
+		if err != nil {
+			t.Errorf("%s: salvaged pinball does not replay: %v", name, err)
+			continue
+		}
+		ref := refs[spb.RegionInstrs]
+		if ref == nil {
+			if ref, _, err = pinplay.ReplayToStep(prog, pb, spb.RegionInstrs, boundedOpts()); err != nil {
+				t.Fatalf("%s: reference prefix replay to %d: %v", name, spb.RegionInstrs, err)
+			}
+			refs[spb.RegionInstrs] = ref
+		}
+		if !sameState(m, ref) {
+			t.Errorf("%s: salvaged replay diverges from the original execution's first %d instructions",
+				name, spb.RegionInstrs)
+		}
+	}
+	t.Logf("%s: %d crash points, %d salvaged (%d unverified), %d refused typed", label, len(pts), salvaged, unverified, unsalvageable)
+	return salvaged, unsalvageable, unverified
 }
 
 // TestMidRecordAbortSalvages simulates the recording process dying just
-// before the commit frame lands — the canonical mid-record crash — and
-// checks the strict loader refuses with guidance while Salvage recovers
-// a checkpoint-exact prefix.
+// before its commit lands (the final meta and the commit marker) — the
+// canonical mid-record crash — and checks the strict loader refuses with
+// guidance while Salvage recovers a checkpoint-exact prefix.
 func TestMidRecordAbortSalvages(t *testing.T) {
 	prog := compileT(t)
 	cfg := logConfig()
@@ -175,7 +208,11 @@ func TestMidRecordAbortSalvages(t *testing.T) {
 	if len(secs) < 3 {
 		t.Fatalf("journal has only %d frames", len(secs))
 	}
-	torn := clone(data[:secs[len(secs)-1].Off]) // everything but the commit frame
+	last := len(secs) - 1
+	for secs[last].ID != 1 { // the final meta frame opens the commit
+		last--
+	}
+	torn := clone(data[:secs[last].Off])
 
 	_, err = pinball.Decode(torn)
 	if !errors.Is(err, pinball.ErrTruncated) {
@@ -205,66 +242,6 @@ func TestMidRecordAbortSalvages(t *testing.T) {
 	}
 	if !sameState(m, ref) {
 		t.Fatal("salvaged replay diverges from the original execution's prefix")
-	}
-}
-
-// TestFramedCrashPoints tears the atomic framed encoding of every
-// pinball kind at every crash point: each torn file must be rejected
-// typed, and when the manifest proves only optional tail sections died,
-// Salvage must rebuild a pinball that replays identically to the intact
-// original.
-func TestFramedCrashPoints(t *testing.T) {
-	prog := compileT(t)
-	pbs := makePinballs(t)
-	for kind, pb := range pbs {
-		data, err := pb.EncodeBytes()
-		if err != nil {
-			t.Fatalf("encode %v: %v", kind, err)
-		}
-		var ref *vm.Machine // intact replay, computed on first need
-		var salvaged int
-		for _, cp := range CrashPoints(data) {
-			torn := TornCopy(data, cp)
-			if len(torn) == len(data) {
-				continue
-			}
-			name := string(kind) + "/" + cp.Name
-			if _, err := pinball.Decode(torn); err == nil {
-				t.Errorf("%s: torn file decoded cleanly", name)
-				continue
-			} else if !typedPinballErr(err) {
-				t.Errorf("%s: decode error is untyped: %v", name, err)
-			}
-			spb, rep, err := pinball.SalvageBytes(torn)
-			if err != nil {
-				if !errors.Is(err, pinball.ErrUnsalvageable) {
-					t.Errorf("%s: salvage error is untyped: %v", name, err)
-				}
-				continue
-			}
-			salvaged++
-			// A framed salvage never truncates: the region survives whole.
-			if rep.Truncated || spb.RegionInstrs != pb.RegionInstrs {
-				t.Errorf("%s: framed salvage truncated (%d of %d instrs)", name, spb.RegionInstrs, pb.RegionInstrs)
-				continue
-			}
-			m, _, err := pinplay.ReplayWith(prog, spb, boundedOpts())
-			if err != nil {
-				t.Errorf("%s: salvaged pinball does not replay: %v", name, err)
-				continue
-			}
-			if ref == nil {
-				if ref, _, err = pinplay.ReplayWith(prog, pb, boundedOpts()); err != nil {
-					t.Fatalf("%v: intact replay: %v", kind, err)
-				}
-			}
-			if !sameState(m, ref) {
-				t.Errorf("%s: salvaged replay diverges from the intact pinball's", name)
-			}
-		}
-		if salvaged == 0 {
-			t.Errorf("%v: no crash point was salvageable — tails losing only checkpoints should recover", kind)
-		}
 	}
 }
 

@@ -22,8 +22,8 @@ type CrashPoint struct {
 	Off  int64
 }
 
-// CrashPoints enumerates the tear offsets of a framed (v2) or journal
-// (v3) pinball file: before each frame, inside each frame header, and
+// CrashPoints enumerates the tear offsets of a pinball file, saved or
+// journaled: before each frame, inside each frame header, and
 // mid-payload of each frame, plus one byte short of a complete file.
 // Returns nil when the bytes have no parsable framing.
 func CrashPoints(data []byte) []CrashPoint {

@@ -9,7 +9,7 @@
 // Two corruptor families mirror the two defence layers:
 //
 //   - FileCorruptors mutate encoded pinball bytes (bit flips,
-//     truncations, dropped sections, checksum and header tampering).
+//     truncations, dropped frames, checksum and header tampering).
 //     pinball.Decode must reject each with the declared typed error.
 //   - PinballCorruptors mutate a decoded Pinball in memory (schedule
 //     shifts, syscall-result tampering, initial-state edits). These
@@ -25,8 +25,8 @@ import (
 	"repro/internal/vm"
 )
 
-// FileCorruptor deterministically corrupts the encoded (framed) bytes of
-// a pinball file.
+// FileCorruptor deterministically corrupts the encoded bytes of a
+// pinball file.
 type FileCorruptor struct {
 	Name string
 	// Want is the typed pinball error Decode must return for the
@@ -37,8 +37,8 @@ type FileCorruptor struct {
 	Apply func(data []byte) (out []byte, ok bool)
 }
 
-// headerLen is the framed header: magic + version + kind + section count.
-const headerLen = 4 + 1 + 1 + 1
+// headerLen is the file header: magic + version + kind.
+const headerLen = 4 + 1 + 1
 
 // sectionHeaderLen mirrors the framing: id (1B) + length (8B) + CRC (4B).
 const sectionHeaderLen = 1 + 8 + 4
@@ -48,9 +48,9 @@ func clone(data []byte) []byte {
 	return append([]byte(nil), data...)
 }
 
-// sections parses the section table, returning nil when the bytes are
-// not a well-formed framed pinball (corruptors needing the table then
-// report not-applicable).
+// sections parses the frame table, returning nil when the bytes are not
+// a well-framed pinball (corruptors needing the table then report
+// not-applicable).
 func sections(data []byte) []pinball.SectionInfo {
 	secs, err := pinball.SectionOffsets(data)
 	if err != nil {
@@ -69,11 +69,11 @@ func findSection(data []byte, id byte) (pinball.SectionInfo, bool) {
 	return pinball.SectionInfo{}, false
 }
 
-// FileCorruptors returns the full byte-level corruptor suite. Section id
-// 3 (the schedule) is used where a specific section is needed: it is
-// mandatory, so the corruptors apply to every pinball kind.
+// FileCorruptors returns the full byte-level corruptor suite. The
+// schedule chunk (frame id 8) is used where a specific frame is needed:
+// every recorded pinball has one, so the corruptors apply to every kind.
 func FileCorruptors() []FileCorruptor {
-	const secSchedule = byte(3)
+	const secSchedule = byte(8)
 	return []FileCorruptor{
 		{
 			Name: "flip-magic",
@@ -157,7 +157,6 @@ func FileCorruptors() []FileCorruptor {
 				out := make([]byte, 0, int64(len(data))-s.Len)
 				out = append(out, data[:s.Off]...)
 				out = append(out, data[s.Off+s.Len:]...)
-				out[6]-- // section count
 				return out, true
 			},
 		},

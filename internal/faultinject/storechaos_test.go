@@ -163,19 +163,36 @@ func TestStoreBitFlipHealable(t *testing.T) {
 		t.Fatal("bit-flip corruptor not applicable")
 	}
 
-	// Find the entry the flipped chunk belonged to: the one whose Get
-	// now fails typed.
-	var victim string
+	// Find the entries the flipped chunk belonged to: the ones whose Get
+	// now fails typed. Equal frames are stored once, so the chunk may be
+	// shared: the first read finds it corrupt and quarantines it, and
+	// every later read finds it missing, as a second Verify does.
+	var victim, chunk string
+	corrupt := 0
 	for digest := range want {
-		if _, err := s.Get(digest); err != nil {
-			if !errors.Is(err, store.ErrObjectCorrupt) {
-				t.Fatalf("Get(%s) = %v, want ErrObjectCorrupt", digest, err)
-			}
-			victim = digest
+		_, err := s.Get(digest)
+		if err == nil {
+			continue
 		}
+		var coe *store.CorruptObjectError
+		switch {
+		case !errors.As(err, &coe):
+			t.Fatalf("Get(%s) = %v, want a *store.CorruptObjectError", digest, err)
+		case errors.Is(err, store.ErrObjectCorrupt):
+			corrupt++
+		case !errors.Is(err, store.ErrObjectMissing) || corrupt == 0:
+			t.Fatalf("Get(%s) = %v, want ErrObjectCorrupt, or ErrObjectMissing once the chunk is quarantined", digest, err)
+		}
+		if chunk != "" && coe.Chunk != chunk {
+			t.Fatalf("Get(%s) failed on chunk %s, but the bit flip damaged chunk %s", digest, coe.Chunk, chunk)
+		}
+		victim, chunk = digest, coe.Chunk
 	}
 	if victim == "" {
 		t.Fatal("no entry was damaged by the bit flip")
+	}
+	if corrupt != 1 {
+		t.Fatalf("%d reads found the chunk corrupt, want exactly the first", corrupt)
 	}
 
 	// The damaged object was quarantined, so best-effort assembly still

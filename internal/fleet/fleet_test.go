@@ -338,6 +338,11 @@ func TestCoordinatorDrainRefusesSessions(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
+	// One round trip first: the accept loop closes connections it has
+	// not yet accepted once draining starts.
+	if _, err := c.Do(&sessiond.Request{Op: sessiond.OpHealth}); err != nil {
+		t.Fatal(err)
+	}
 	co.draining.Store(true)
 	resp, err := c.Do(&sessiond.Request{Op: sessiond.OpReplay, File: "x.c", Pinball: "nowhere.pinball"})
 	if err != nil {

@@ -127,7 +127,15 @@ func TestFleetChaosSoak(t *testing.T) {
 				return
 			}
 			defer c.Close()
-			for r := 0; r < reqsPerClient; r++ {
+			// Each client also keeps going until one of its requests starts
+			// after the kill, so a fast host cannot finish the whole run
+			// before the chaos lands.
+			for r, after := 0, false; r < reqsPerClient || !after && r < 50*reqsPerClient; r++ {
+				select {
+				case <-killed:
+					after = true
+				default:
+				}
 				var req sessiond.Request
 				switch (ci + r) % 5 {
 				case 0, 1, 2: // slice: the digest-checked path

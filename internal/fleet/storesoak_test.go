@@ -212,7 +212,15 @@ func TestStoreChaosSoak(t *testing.T) {
 				return
 			}
 			defer c.Close()
-			for r := 0; r < reqsPerClient; r++ {
+			// Each client also keeps going until one of its requests starts
+			// after the chaos, so a fast host cannot finish the whole run
+			// before the kill and the corruption land.
+			for r, after := 0, false; r < reqsPerClient || !after && r < 50*reqsPerClient; r++ {
+				select {
+				case <-chaosDone:
+					after = true
+				default:
+				}
 				// Digest-only sessions: no client ever names a pinball path.
 				req := sessiond.Request{
 					Op: sessiond.OpSlice, File: f.src, Digest: digest,

@@ -74,10 +74,10 @@ func journalPinball() *pinball.Pinball {
 	return pb
 }
 
-// writeJournal writes pb to path as a v3 journal in two flush windows,
+// writeJournal writes pb to path as a journal in two flush windows,
 // committing only when commit is true. Returns the flush-window byte
 // boundary (end of the first AppendChunk's frames).
-func writeJournal(t *testing.T, path string, pb *pinball.Pinball, commit bool) int64 {
+func writeJournal(t testing.TB, path string, pb *pinball.Pinball, commit bool) int64 {
 	t.Helper()
 	provisional := &pinball.Pinball{
 		ProgramName: pb.ProgramName, Kind: pb.Kind,
@@ -229,9 +229,9 @@ func TestSalvageJournalWithoutCheckpointsFails(t *testing.T) {
 	}
 }
 
-// tornAtSection returns the v2 encoding of pb cut right before section
-// id's frame starts.
-func tornAtSection(t *testing.T, pb *pinball.Pinball, id byte) []byte {
+// tornInFrame returns the encoding of pb cut halfway through the first
+// frame with the given id.
+func tornInFrame(t *testing.T, pb *pinball.Pinball, id byte) []byte {
 	t.Helper()
 	data, err := pb.EncodeBytes()
 	if err != nil {
@@ -243,57 +243,79 @@ func tornAtSection(t *testing.T, pb *pinball.Pinball, id byte) []byte {
 	}
 	for _, s := range secs {
 		if s.ID == id {
-			return data[:s.Off]
+			return data[:s.Off+s.Len/2]
 		}
 	}
-	t.Fatalf("pinball has no section %d", id)
+	t.Fatalf("pinball has no frame with id %d", id)
 	return nil
 }
 
-func TestSalvageFramedLostCheckpoints(t *testing.T) {
+func TestSalvageSaveLostCheckpoints(t *testing.T) {
 	pb := journalPinball()
-	torn := tornAtSection(t, pb, 7) // secCheckpoints is the last section
+	torn := tornInFrame(t, pb, 11) // the checkpoint chunk follows the schedule
 	got, rep, err := pinball.SalvageBytes(torn)
 	if err != nil {
 		t.Fatalf("salvage: %v\n%s", err, rep.Summary())
 	}
-	if !rep.Unverified {
-		t.Error("report does not flag the salvaged pinball as unverified")
+	if rep.Truncated || !rep.Unverified {
+		t.Errorf("report: truncated=%v unverified=%v, want the whole region, unverified", rep.Truncated, rep.Unverified)
 	}
-	if got.RegionInstrs != pb.RegionInstrs || len(got.Checkpoints) != 0 {
-		t.Errorf("salvaged region %d checkpoints %d, want full region, no checkpoints",
-			got.RegionInstrs, len(got.Checkpoints))
+	if got.RegionInstrs != pb.RegionInstrs || len(got.Syscalls) != 1 || len(got.Checkpoints) != 0 {
+		t.Errorf("salvaged region %d, syscalls %d, checkpoints %d: want the full region without checkpoints",
+			got.RegionInstrs, len(got.Syscalls), len(got.Checkpoints))
 	}
-	// The lost checkpoints leave a cadence without checkpoints, which
-	// Validate allows; replay simply cannot window-verify.
+	// A cadence without checkpoints is valid; replay just cannot verify
+	// windows.
 	if err := got.Validate(); err != nil {
 		t.Errorf("salvaged pinball invalid: %v", err)
 	}
 }
 
-func TestSalvageFramedLostSyscallsFails(t *testing.T) {
+// TestSalvageTornCommitMarkerKeepsRegion tears a saved file and a
+// committed journal inside their empty commit marker: every frame before
+// it survived, so the whole region comes back with its checkpoints,
+// neither truncated nor unverified.
+func TestSalvageTornCommitMarkerKeepsRegion(t *testing.T) {
 	pb := journalPinball()
-	torn := tornAtSection(t, pb, 4) // secSyscalls: replay-critical
-	_, rep, err := pinball.SalvageBytes(torn)
-	if !errors.Is(err, pinball.ErrUnsalvageable) {
-		t.Fatalf("lost syscalls: err = %v, want ErrUnsalvageable", err)
+	path := filepath.Join(t.TempDir(), "j.pinball")
+	writeJournal(t, path, pb, true)
+	journal, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !strings.Contains(err.Error(), "syscall") {
-		t.Errorf("error %q does not name the lost section", err)
-	}
-	if len(rep.LostSections) == 0 {
-		t.Error("report lists no lost sections")
+	for name, torn := range map[string][]byte{
+		"save":    tornInFrame(t, pb, 12),
+		"journal": journal[:len(journal)-7],
+	} {
+		if _, err := pinball.Decode(torn); !errors.Is(err, pinball.ErrTruncated) {
+			t.Errorf("%s: decode err = %v, want ErrTruncated", name, err)
+		}
+		got, rep, err := pinball.SalvageBytes(torn)
+		if err != nil {
+			t.Fatalf("%s: salvage: %v\n%s", name, err, rep.Summary())
+		}
+		if rep.Truncated || rep.Unverified {
+			t.Errorf("%s: report truncated=%v unverified=%v, want the whole region, verified", name, rep.Truncated, rep.Unverified)
+		}
+		if got.RegionInstrs != pb.RegionInstrs || len(got.Checkpoints) != len(pb.Checkpoints) {
+			t.Errorf("%s: salvaged %d instrs, %d checkpoints; want %d, %d",
+				name, got.RegionInstrs, len(got.Checkpoints), pb.RegionInstrs, len(pb.Checkpoints))
+		}
 	}
 }
 
 func TestSalvageSlicePinballLostSliceSectionFails(t *testing.T) {
-	pb := samplePinball()
+	// A slice pinball torn inside its slice frame lost its injections, and
+	// every schedule chunk after them: nothing replayable survives.
+	pb := journalPinball()
 	pb.Kind = pinball.KindSlice
-	pb.Syscalls, pb.OrderEdges = nil, nil // make secSlice the tear point
-	torn := tornAtSection(t, pb, 6)       // secSlice
-	_, _, err := pinball.SalvageBytes(torn)
-	if !errors.Is(err, pinball.ErrUnsalvageable) {
-		t.Fatalf("slice pinball without slice section: err = %v, want ErrUnsalvageable", err)
+	pb.Exclusions, pb.Injections = samplePinball().Exclusions, samplePinball().Injections
+	torn := tornInFrame(t, pb, 6)
+	if _, err := pinball.Decode(torn); !errors.Is(err, pinball.ErrTruncated) {
+		t.Errorf("decode torn slice pinball: err = %v, want ErrTruncated", err)
+	}
+	if _, _, err := pinball.SalvageBytes(torn); !errors.Is(err, pinball.ErrUnsalvageable) {
+		t.Fatalf("slice pinball torn in its slice frame: err = %v, want ErrUnsalvageable", err)
 	}
 }
 
@@ -325,9 +347,9 @@ func TestLoadErrorsCarrySectionOffsets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Flip a payload byte in the schedule section (id 3).
+	// Flip a payload byte in the schedule chunk (id 8).
 	for _, s := range secs {
-		if s.ID == 3 {
+		if s.ID == 8 {
 			data[s.Off+13] ^= 0xff
 		}
 	}
@@ -340,7 +362,7 @@ func TestLoadErrorsCarrySectionOffsets(t *testing.T) {
 		t.Fatalf("bit flip: err = %v, want ErrCorrupt", err)
 	}
 	msg := err.Error()
-	for _, want := range []string{"section id 3", "byte offset", "checksum", "flipped.pinball"} {
+	for _, want := range []string{"section id 8", "byte offset", "checksum", "flipped.pinball"} {
 		if !strings.Contains(msg, want) {
 			t.Errorf("error %q missing %q", msg, want)
 		}

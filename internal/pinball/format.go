@@ -36,41 +36,49 @@ func packPayload(v any) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// On-disk framing. Every pinball starts with the magic and a format
-// version byte (version 1, the unframed pre-checksum format, is no
-// longer read and fails as version skew):
+// On-disk format. A pinball file is the magic, the format version byte
+// and the kind byte ('W', 'R' or 'S'), followed by frames: id (1B),
+// payload length (8B big-endian), CRC32-IEEE of the payload (4B) and the
+// payload, a gzip-compressed gob value. Truncation, bit flips and
+// dropped frames are all detected before anything is decoded.
 //
-//	version 2 ("format v1"): kind byte, section count, then framed
-//	sections: id (1B), payload length (8B big-endian), CRC32-IEEE of the
-//	compressed payload (4B), payload (gzip-compressed gob). Truncation,
-//	bit flips and dropped sections are all detected before decoding.
-//	version 3 ("journal"): kind byte, then framed sections appended
-//	incrementally while recording, terminated by a commit frame — see
-//	journal.go. A journal without its commit frame is an interrupted
-//	recording: Load rejects it as truncated, Salvage recovers its
-//	longest checkpoint-consistent prefix.
+// Both writers produce this one layout. Save writes the finished
+// pinball in one pass: meta, state, the ring and slice frames when
+// non-empty, one chunk frame per non-empty stream (checkpoints last),
+// then the commit marker. A recording journal (journal.go) writes a
+// provisional meta and the state at region entry, appends chunk frames
+// as the region runs, and commits with the ring frame, the final meta
+// and the marker. The last meta frame is authoritative: its Sections
+// field lists the id of every non-meta frame in file order, commit
+// marker included, and Decode rejects a file whose frames disagree with
+// it. A file without its commit marker is an interrupted recording:
+// Decode rejects it as truncated, Salvage recovers its longest
+// checkpoint-consistent prefix. Versions 1 (unframed), 2
+// (whole-section framing) and 3 (journals with a meta in the commit
+// frame, no manifest and a map-valued state frame) are no longer read
+// and fail as version skew.
 const (
-	fileMagic      = "DRPB"
-	versionFramed  = byte(2) // atomic-save format ("pinball format v1")
-	versionJournal = byte(3) // incremental journal written during recording
+	fileMagic     = "DRPB"
+	formatVersion = byte(4)
 )
 
-// Section ids of the framed format. Meta, state and schedule are
-// mandatory; the rest are written only when non-empty. Unknown ids are
-// checksum-verified and skipped, leaving room for additive extensions.
+// headerLen is the file header: magic + version + kind.
+const headerLen = int64(len(fileMagic) + 2)
+
+// Frame ids. Unknown ids are checksum-verified and skipped (they must
+// still appear in the manifest), leaving room for additive extensions.
 const (
-	secMeta        = byte(1)
-	secState       = byte(2)
-	secSchedule    = byte(3)
-	secSyscalls    = byte(4)
-	secOrder       = byte(5)
-	secSlice       = byte(6)
-	secCheckpoints = byte(7)
-	// secRing carries the flight-recorder payload (ringV1): budget,
-	// sampling policy, eviction manifest and bridge recipe. Written by v2
-	// saves of ring pinballs and as the commit-time manifest frame of v3
-	// ring journals. Ids 8-12 are the v3 chunk frames (journal.go).
-	secRing = byte(13)
+	secMeta            = byte(1)  // metaV1; the last one is authoritative
+	secState           = byte(2)  // vm.MachineState, the initial machine state
+	secSlice           = byte(6)  // sliceV1, slice pinballs only
+	secQuantaChunk     = byte(8)  // []vm.Quantum
+	secSyscallChunk    = byte(9)  // []vm.SyscallRecord
+	secOrderChunk      = byte(10) // []vm.OrderEdge
+	secCheckpointChunk = byte(11) // []Checkpoint
+	secCommit          = byte(12) // empty marker: the file is complete
+	secRing            = byte(13) // ringV1, the flight-recorder fields
+	secRecipe          = byte(14) // Recipe, written early by ring journals
+	secRingWindow      = byte(15) // ringWindowV1, one per sealed ring window
 )
 
 // sectionHeaderLen is id + length + crc.
@@ -91,11 +99,9 @@ type metaV1 struct {
 	EndReason       string
 	Failure         *vm.Failure
 	CheckpointEvery int64
-	// Sections is the manifest of section ids the writer emitted. Salvage
-	// uses it to tell which sections a torn file actually lost — without
-	// it, a tear at a frame boundary is indistinguishable from a shorter
-	// recording. Empty in files written before the manifest existed (gob
-	// decodes the missing field as nil).
+	// Sections is the frame manifest: the id of every non-meta frame in
+	// file order, ending with the commit marker. Nil in a journal's
+	// provisional meta, whose frames are not known yet.
 	Sections []byte
 }
 
@@ -105,7 +111,7 @@ type sliceV1 struct {
 	Injections []Injection
 }
 
-// meta builds the meta section payload with the given section manifest.
+// meta builds the meta section payload with the given frame manifest.
 func (p *Pinball) meta(manifest []byte) metaV1 {
 	return metaV1{
 		ProgramName: p.ProgramName, Kind: p.Kind,
@@ -134,12 +140,79 @@ func kindByte(k Kind) byte {
 	}
 }
 
-// Save writes the pinball to path in the framed v1 format (the paper uses
-// bzip2 pinball compression; gzip is the stdlib equivalent). The write is
-// crash-safe: the file is staged in a temporary sibling, fsynced and
-// atomically renamed into place, so a crash or disk-full mid-save leaves
-// either the previous complete file or no file — never a torn pinball,
-// and never a stray temp file.
+// frameWriter seals frames onto w and remembers the id of every
+// non-meta frame, which is what the authoritative meta's manifest lists.
+// The error is sticky: after the first failure every write is a no-op.
+type frameWriter struct {
+	w   io.Writer
+	ids []byte
+	err error
+}
+
+// header writes the file header.
+func (fw *frameWriter) header(k Kind) {
+	if fw.err == nil {
+		_, fw.err = fw.w.Write(append([]byte(fileMagic), formatVersion, kindByte(k)))
+	}
+}
+
+// frame seals one frame holding v; a nil v gives an empty payload.
+func (fw *frameWriter) frame(id byte, v any) {
+	if fw.err != nil {
+		return
+	}
+	var payload []byte
+	if v != nil {
+		var err error
+		if payload, err = packPayload(v); err != nil {
+			fw.err = fmt.Errorf("encode section %d: %w", id, err)
+			return
+		}
+	}
+	var hdr [sectionHeaderLen]byte
+	hdr[0] = id
+	binary.BigEndian.PutUint64(hdr[1:9], uint64(len(payload)))
+	binary.BigEndian.PutUint32(hdr[9:13], crc32.ChecksumIEEE(payload))
+	if _, fw.err = fw.w.Write(hdr[:]); fw.err == nil {
+		_, fw.err = fw.w.Write(payload)
+	}
+	if id != secMeta {
+		fw.ids = append(fw.ids, id)
+	}
+}
+
+// chunks seals one flush window: the non-empty streams, quanta LAST.
+// Frames are appended in order, so a torn tail that keeps a window's
+// quanta chunk keeps all of its events too.
+func (fw *frameWriter) chunks(quanta []vm.Quantum, syscalls []vm.SyscallRecord, edges []vm.OrderEdge, cps []Checkpoint) {
+	if len(syscalls) > 0 {
+		fw.frame(secSyscallChunk, syscalls)
+	}
+	if len(edges) > 0 {
+		fw.frame(secOrderChunk, edges)
+	}
+	if len(cps) > 0 {
+		fw.frame(secCheckpointChunk, cps)
+	}
+	if len(quanta) > 0 {
+		fw.frame(secQuantaChunk, quanta)
+	}
+}
+
+// ring returns the ring frame payload, or nil when ring mode is off.
+func (p *Pinball) ring() *ringV1 {
+	if p.RingBytes == 0 && p.SampleKeep == 0 && len(p.Evictions) == 0 && p.Recipe == nil {
+		return nil
+	}
+	return &ringV1{p.RingBytes, p.SampleKeep, p.Evictions, p.Recipe}
+}
+
+// Save writes the pinball to path (the paper uses bzip2 pinball
+// compression; gzip is the stdlib equivalent). The write is crash-safe:
+// the file is staged in a temporary sibling, fsynced and atomically
+// renamed into place, so a crash or disk-full mid-save leaves either the
+// previous complete file or no file — never a torn pinball, and never a
+// stray temp file.
 func (p *Pinball) Save(path string) error {
 	if err := writeFileAtomic(path, p.encode); err != nil {
 		return fmt.Errorf("pinball: save %s: %w", path, err)
@@ -147,7 +220,7 @@ func (p *Pinball) Save(path string) error {
 	return nil
 }
 
-// EncodeBytes returns the framed on-disk representation of the pinball,
+// EncodeBytes returns the on-disk representation of the pinball,
 // exactly as Save would write it. The fault-injection harness corrupts
 // these bytes in memory instead of going through temporary files.
 func (p *Pinball) EncodeBytes() ([]byte, error) {
@@ -158,71 +231,38 @@ func (p *Pinball) EncodeBytes() ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// encode writes the framed representation to w.
+// encode writes the pinball as a committed journal in one pass: the
+// final meta first, so it is the only meta frame, then the whole region
+// as a single flush window. The frames after the meta are sealed into a
+// buffer first, because the meta's manifest lists them. Equal pinballs
+// encode to equal bytes.
 func (p *Pinball) encode(w io.Writer) error {
-	type section struct {
-		id      byte
-		payload []byte
+	var body bytes.Buffer
+	bw := &frameWriter{w: &body}
+	bw.frame(secState, p.State)
+	if r := p.ring(); r != nil {
+		bw.frame(secRing, r)
 	}
-	pack := func(id byte, v any) (section, error) {
-		payload, err := packPayload(v)
-		if err != nil {
-			return section{}, fmt.Errorf("encode section %d: %w", id, err)
-		}
-		return section{id, payload}, nil
+	if len(p.Exclusions) > 0 || len(p.Injections) > 0 {
+		bw.frame(secSlice, sliceV1{p.Exclusions, p.Injections})
 	}
-
-	sections := []struct {
-		id    byte
-		v     any
-		empty bool
-	}{
-		{secMeta, nil, false}, // meta payload built after the manifest is known
-		{secState, p.State, false},
-		{secSchedule, p.Quanta, false},
-		{secSyscalls, p.Syscalls, len(p.Syscalls) == 0},
-		{secOrder, p.OrderEdges, len(p.OrderEdges) == 0},
-		{secSlice, sliceV1{p.Exclusions, p.Injections}, len(p.Exclusions) == 0 && len(p.Injections) == 0},
-		{secCheckpoints, p.Checkpoints, len(p.Checkpoints) == 0},
-		{secRing, ringV1{p.RingBytes, p.SampleKeep, p.Evictions, p.Recipe},
-			p.RingBytes == 0 && p.SampleKeep == 0 && len(p.Evictions) == 0 && p.Recipe == nil},
+	// The checkpoints, usually the largest frame, follow the schedule: a
+	// tear inside them keeps a complete region, which Salvage recovers.
+	bw.chunks(p.Quanta, p.Syscalls, p.OrderEdges, nil)
+	if len(p.Checkpoints) > 0 {
+		bw.frame(secCheckpointChunk, p.Checkpoints)
 	}
-	var manifest []byte
-	for _, s := range sections {
-		if !s.empty {
-			manifest = append(manifest, s.id)
-		}
+	if bw.err != nil {
+		return bw.err
 	}
-	sections[0].v = p.meta(manifest)
-	var packed []section
-	for _, s := range sections {
-		if s.empty {
-			continue
-		}
-		ps, err := pack(s.id, s.v)
-		if err != nil {
-			return err
-		}
-		packed = append(packed, ps)
+	fw := &frameWriter{w: w}
+	fw.header(p.Kind)
+	fw.frame(secMeta, p.meta(append(bw.ids, secCommit)))
+	if fw.err == nil {
+		_, fw.err = w.Write(body.Bytes())
 	}
-
-	header := append([]byte(fileMagic), versionFramed, kindByte(p.Kind), byte(len(packed)))
-	if _, err := w.Write(header); err != nil {
-		return err
-	}
-	var frame [sectionHeaderLen]byte
-	for _, s := range packed {
-		frame[0] = s.id
-		binary.BigEndian.PutUint64(frame[1:9], uint64(len(s.payload)))
-		binary.BigEndian.PutUint32(frame[9:13], crc32.ChecksumIEEE(s.payload))
-		if _, err := w.Write(frame[:]); err != nil {
-			return err
-		}
-		if _, err := w.Write(s.payload); err != nil {
-			return err
-		}
-	}
-	return nil
+	fw.frame(secCommit, nil)
+	return fw.err
 }
 
 // Load reads, checksum-verifies and structurally validates a pinball.
@@ -240,32 +280,46 @@ func Load(path string) (*Pinball, error) {
 	return p, nil
 }
 
-// Decode parses pinball file bytes (framed or journal), verifying
-// checksums and structural invariants.
+// Decode parses committed pinball file bytes, verifying checksums, the
+// frame manifest and structural invariants.
 func Decode(data []byte) (*Pinball, error) {
-	if len(data) < len(fileMagic)+1 {
-		return nil, fmt.Errorf("%w: %d-byte file", ErrNotPinball, len(data))
+	if err := checkHeader(data); err != nil {
+		return nil, err
 	}
-	if string(data[:len(fileMagic)]) != fileMagic {
-		return nil, fmt.Errorf("%w: bad magic", ErrNotPinball)
-	}
-	var p *Pinball
-	var err error
-	switch v := data[len(fileMagic)]; v {
-	case versionFramed:
-		p, err = decodeFramed(data)
-	case versionJournal:
-		p, err = decodeJournal(data)
-	default:
-		return nil, fmt.Errorf("%w: file has version %d, this build reads %d-%d", ErrVersionSkew, v, versionFramed, versionJournal)
-	}
+	parts, err := readFrames(data)
 	if err != nil {
 		return nil, err
+	}
+	if !parts.committed {
+		return nil, fmt.Errorf("%w: journal has no commit frame — the recording was interrupted (run drrepair, or load with salvage enabled)", ErrTruncated)
+	}
+	p := parts.p
+	p.applyMeta(parts.meta)
+	if kindByte(p.Kind) != parts.kindB {
+		return nil, fmt.Errorf("%w: header kind %q does not match meta kind %q", ErrCorrupt, parts.kindB, p.Kind)
 	}
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
 	return p, nil
+}
+
+// checkHeader checks the magic, the format version byte and that the
+// kind byte is present.
+func checkHeader(data []byte) error {
+	if len(data) < len(fileMagic)+1 {
+		return fmt.Errorf("%w: %d-byte file", ErrNotPinball, len(data))
+	}
+	if string(data[:len(fileMagic)]) != fileMagic {
+		return fmt.Errorf("%w: bad magic", ErrNotPinball)
+	}
+	if v := data[len(fileMagic)]; v != formatVersion {
+		return fmt.Errorf("%w: file has version %d, this build reads %d", ErrVersionSkew, v, formatVersion)
+	}
+	if int64(len(data)) < headerLen {
+		return fmt.Errorf("%w: header ends after version byte", ErrTruncated)
+	}
+	return nil
 }
 
 // frame is one parsed section frame: its id, 1-based position in the
@@ -320,93 +374,6 @@ func (f frame) decode(dst any) error {
 	return nil
 }
 
-// apply decodes the frame into its slot on p (meta frames into meta).
-// Unknown ids are checksum-verified and skipped.
-func (f frame) apply(p *Pinball, meta *metaV1) error {
-	var dst any
-	var sl sliceV1
-	var ring ringV1
-	switch f.id {
-	case secMeta:
-		dst = meta
-	case secState:
-		dst = &p.State
-	case secSchedule:
-		dst = &p.Quanta
-	case secSyscalls:
-		dst = &p.Syscalls
-	case secOrder:
-		dst = &p.OrderEdges
-	case secSlice:
-		dst = &sl
-	case secCheckpoints:
-		dst = &p.Checkpoints
-	case secRing:
-		dst = &ring
-	default:
-		return nil
-	}
-	if err := f.decode(dst); err != nil {
-		return err
-	}
-	switch f.id {
-	case secSlice:
-		p.Exclusions, p.Injections = sl.Exclusions, sl.Injections
-	case secRing:
-		p.RingBytes, p.SampleKeep = ring.RingBytes, ring.SampleKeep
-		p.Evictions, p.Recipe = ring.Evictions, ring.Recipe
-	}
-	return nil
-}
-
-// framedHeaderLen is the v2 file header: magic + version + kind + count.
-const framedHeaderLen = int64(len(fileMagic) + 3)
-
-// decodeFramed reads the v1 section framing from the full file bytes.
-func decodeFramed(data []byte) (*Pinball, error) {
-	if int64(len(data)) < framedHeaderLen {
-		return nil, fmt.Errorf("%w: header ends after version byte", ErrTruncated)
-	}
-	kindB, count := data[len(fileMagic)+1], int(data[len(fileMagic)+2])
-
-	p := &Pinball{}
-	meta := metaV1{}
-	seen := map[byte]bool{}
-	off := framedHeaderLen
-	for i := 1; i <= count; i++ {
-		f, next, err := readFrame(data, off, i)
-		if err != nil {
-			return nil, err
-		}
-		off = next
-		if seen[f.id] {
-			return nil, fmt.Errorf("%w: duplicate section id %d (#%d) at byte offset %d", ErrCorrupt, f.id, i, f.off)
-		}
-		seen[f.id] = true
-		if err := f.apply(p, &meta); err != nil {
-			return nil, err
-		}
-	}
-	if rest := int64(len(data)) - off; rest != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes after the last section at byte offset %d", ErrCorrupt, rest, off)
-	}
-	for _, req := range []byte{secMeta, secState, secSchedule} {
-		if !seen[req] {
-			return nil, fmt.Errorf("%w: mandatory section %d missing", ErrCorrupt, req)
-		}
-	}
-	for _, id := range meta.Sections {
-		if !seen[id] {
-			return nil, fmt.Errorf("%w: section %d is in the manifest but missing from the file", ErrCorrupt, id)
-		}
-	}
-	p.applyMeta(meta)
-	if kindByte(p.Kind) != kindB {
-		return nil, fmt.Errorf("%w: header kind %q does not match meta kind %q", ErrCorrupt, kindB, p.Kind)
-	}
-	return p, nil
-}
-
 // gobDecode decodes into v, converting both gob errors and gob panics
 // (which malformed streams can trigger deep inside the decoder) into
 // typed errors.
@@ -425,50 +392,30 @@ func gobDecode(r io.Reader, v any) (err error) {
 	return nil
 }
 
-// SectionInfo locates one framed section inside a v1 pinball file; Off is
-// the frame start and Len the full frame length (header + payload). The
-// fault-injection harness uses it to drop or damage precise sections.
+// SectionInfo locates one frame inside a pinball file; Off is the frame
+// start and Len the full frame length (header + payload). The store
+// chunks files at these boundaries and the fault-injection harness uses
+// them to drop or damage precise frames.
 type SectionInfo struct {
 	ID  byte
 	Off int64
 	Len int64
 }
 
-// SectionOffsets walks the framing of v1 (framed) or journal pinball
-// file bytes without decoding payloads. It fails with the same typed
-// errors as Decode.
+// SectionOffsets walks the frames of pinball file bytes without decoding
+// payloads. It fails with the same typed errors as Decode.
 func SectionOffsets(data []byte) ([]SectionInfo, error) {
-	headerLen := len(fileMagic) + 2
-	if len(data) < headerLen {
-		return nil, fmt.Errorf("%w: %d-byte file", ErrTruncated, len(data))
-	}
-	if string(data[:len(fileMagic)]) != fileMagic {
-		return nil, fmt.Errorf("%w: bad magic", ErrNotPinball)
-	}
-	count := -1 // journal: frames run to end of file
-	off := int64(headerLen)
-	switch v := data[len(fileMagic)]; v {
-	case versionFramed:
-		if int64(len(data)) < framedHeaderLen {
-			return nil, fmt.Errorf("%w: %d-byte file", ErrTruncated, len(data))
-		}
-		count = int(data[headerLen])
-		off = framedHeaderLen
-	case versionJournal:
-	default:
-		return nil, fmt.Errorf("%w: version %d has no section framing", ErrVersionSkew, v)
+	if err := checkHeader(data); err != nil {
+		return nil, err
 	}
 	var out []SectionInfo
-	for i := 1; count < 0 || i <= count; i++ {
-		if count < 0 && off == int64(len(data)) {
-			break
-		}
+	for off := headerLen; off < int64(len(data)); {
 		if int64(len(data)) < off+sectionHeaderLen {
-			return nil, fmt.Errorf("%w: file ends inside section header %d", ErrTruncated, i)
+			return nil, fmt.Errorf("%w: file ends inside section header %d", ErrTruncated, len(out)+1)
 		}
 		n := int64(binary.BigEndian.Uint64(data[off+1 : off+9]))
 		if n < 0 || n > maxSectionLen || int64(len(data)) < off+sectionHeaderLen+n {
-			return nil, fmt.Errorf("%w: section %d overruns the file", ErrTruncated, i)
+			return nil, fmt.Errorf("%w: section %d overruns the file", ErrTruncated, len(out)+1)
 		}
 		out = append(out, SectionInfo{ID: data[off], Off: off, Len: sectionHeaderLen + n})
 		off += sectionHeaderLen + n
@@ -476,20 +423,9 @@ func SectionOffsets(data []byte) ([]SectionInfo, error) {
 	return out, nil
 }
 
-// EncodedSize returns the on-disk size of the pinball in bytes by
-// encoding it to a counting sink; the evaluation tables report this as
-// the pinball's space overhead.
+// EncodedSize returns the on-disk size of the pinball in bytes; the
+// evaluation tables report this as the pinball's space overhead.
 func (p *Pinball) EncodedSize() (int64, error) {
-	var cw countingWriter
-	if err := p.encode(&cw); err != nil {
-		return 0, err
-	}
-	return cw.n, nil
-}
-
-type countingWriter struct{ n int64 }
-
-func (c *countingWriter) Write(b []byte) (int, error) {
-	c.n += int64(len(b))
-	return len(b), nil
+	data, err := p.EncodeBytes()
+	return int64(len(data)), err
 }

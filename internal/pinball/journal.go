@@ -1,57 +1,39 @@
 package pinball
 
 import (
-	"encoding/binary"
+	"bytes"
 	"fmt"
-	"hash/crc32"
 	"os"
 
 	"repro/internal/vm"
 )
 
-// Incremental journal (format version 3). A pinball written with Save
-// only exists once recording has finished; a crash mid-record loses the
-// whole capture. The journal inverts that: the file starts with the
-// sections known at region entry (provisional meta, initial machine
-// state) and then grows by checksummed chunk frames as the recording
-// runs, each flush covering a window of the region. A final commit frame
-// carries the authoritative meta and marks the recording complete.
+// Incremental journal. A pinball written with Save only exists once
+// recording has finished; a crash mid-record would lose the whole
+// capture. The journal inverts that: the file starts with the frames
+// known at region entry (provisional meta, initial machine state) and
+// then grows by checksummed chunk frames as the recording runs, each
+// flush covering a window of the region. Commit appends the final meta,
+// whose manifest lists every frame written, and the empty commit marker
+// that makes the file complete. The result has the same layout as a
+// Save (format.go), so one reader and one salvage path serve both.
 //
-// Chunk frames inside one flush are ordered syscalls, order edges,
-// checkpoints, then quanta LAST. Because frames are appended in order, a
-// torn tail that keeps a flush's quanta chunk necessarily keeps every
-// event chunk of the same window — so the longest valid frame prefix is
-// always consistent up to its last quanta chunk, and Salvage can anchor
-// a replayable truncation at the last divergence checkpoint it covers.
-//
-// Load accepts only committed journals; an uncommitted journal is an
-// interrupted recording and fails with ErrTruncated (pointing the user
-// at drrepair / Salvage).
-
-// Journal chunk section ids (the framed ids 1..7 keep their meaning).
-const (
-	secQuantaChunk     = byte(8)  // []vm.Quantum delta
-	secSyscallChunk    = byte(9)  // []vm.SyscallRecord delta
-	secOrderChunk      = byte(10) // []vm.OrderEdge delta
-	secCheckpointChunk = byte(11) // []Checkpoint delta
-	secCommit          = byte(12) // metaV1, authoritative, terminates the journal
-	// Ring (flight-recorder) frames; secRing = 13 lives in format.go.
-	secRecipe     = byte(14) // Recipe, written right after the state frame
-	secRingWindow = byte(15) // ringWindowV1, one per sealed flush window
-)
-
-// journalHeaderLen is the v3 file header: magic + version + kind.
-const journalHeaderLen = int64(len(fileMagic) + 2)
+// Because a flush writes its quanta chunk last, the longest valid frame
+// prefix is always consistent up to its last quanta chunk, and Salvage
+// can anchor a replayable truncation at the last divergence checkpoint
+// it covers. Load accepts only committed journals; an uncommitted
+// journal is an interrupted recording and fails with ErrTruncated
+// (pointing the user at drrepair / Salvage).
 
 // JournalWriter appends a recording to disk as it happens. Methods keep
 // a sticky error: after the first failure every later call is a no-op
 // returning the same error, so the recording loop does not need to check
 // every flush.
 type JournalWriter struct {
+	frameWriter
 	f    *os.File
 	path string
 	sync bool
-	err  error
 }
 
 // NewJournalWriter creates (truncating) the journal at path and writes
@@ -64,94 +46,47 @@ func NewJournalWriter(path string, p *Pinball, sync bool) (*JournalWriter, error
 	if err != nil {
 		return nil, fmt.Errorf("pinball: journal: %w", err)
 	}
-	w := &JournalWriter{f: f, path: path, sync: sync}
-	header := append([]byte(fileMagic), versionJournal, kindByte(p.Kind))
-	if _, err := f.Write(header); err != nil {
-		w.fail(err)
-		return nil, w.err
-	}
-	w.appendFrame(secMeta, p.meta(nil))
-	w.appendFrame(secState, p.State)
-	w.maybeSync()
-	if w.err != nil {
-		return nil, w.err
+	w := &JournalWriter{frameWriter: frameWriter{w: f}, f: f, path: path, sync: sync}
+	w.header(p.Kind)
+	w.frame(secMeta, p.meta(nil))
+	w.frame(secState, p.State)
+	if err := w.flush(); err != nil {
+		f.Close()
+		return nil, err
 	}
 	return w, nil
 }
 
-// Path returns where the journal is being written.
-func (w *JournalWriter) Path() string { return w.path }
-
 // Err returns the sticky write error, if any.
-func (w *JournalWriter) Err() error { return w.err }
-
-// fail records the first error and stops further writes.
-func (w *JournalWriter) fail(err error) {
+func (w *JournalWriter) Err() error {
 	if w.err == nil {
-		w.err = fmt.Errorf("pinball: journal %s: %w", w.path, err)
+		return nil
 	}
+	return fmt.Errorf("pinball: journal %s: %w", w.path, w.err)
 }
 
-// appendFrame seals one section frame: gob+gzip payload, length, CRC.
-func (w *JournalWriter) appendFrame(id byte, v any) {
-	if w.err != nil {
-		return
+// flush fsyncs the journal when durable flushing is on.
+func (w *JournalWriter) flush() error {
+	if w.err == nil && w.sync {
+		w.err = w.f.Sync()
 	}
-	payload, err := packPayload(v)
-	if err != nil {
-		w.fail(fmt.Errorf("encode section %d: %w", id, err))
-		return
-	}
-	var hdr [sectionHeaderLen]byte
-	hdr[0] = id
-	binary.BigEndian.PutUint64(hdr[1:9], uint64(len(payload)))
-	binary.BigEndian.PutUint32(hdr[9:13], crc32.ChecksumIEEE(payload))
-	if _, err := w.f.Write(hdr[:]); err != nil {
-		w.fail(err)
-		return
-	}
-	if _, err := w.f.Write(payload); err != nil {
-		w.fail(err)
-	}
-}
-
-// maybeSync fsyncs the journal when durable flushing is on.
-func (w *JournalWriter) maybeSync() {
-	if w.err != nil || !w.sync {
-		return
-	}
-	if err := w.f.Sync(); err != nil {
-		w.fail(err)
-	}
+	return w.Err()
 }
 
 // AppendChunk seals one flush window: the non-empty deltas since the
 // previous flush, quanta written last so a torn tail can never keep a
 // schedule window whose events were lost.
 func (w *JournalWriter) AppendChunk(quanta []vm.Quantum, syscalls []vm.SyscallRecord, edges []vm.OrderEdge, cps []Checkpoint) error {
-	if len(syscalls) > 0 {
-		w.appendFrame(secSyscallChunk, syscalls)
-	}
-	if len(edges) > 0 {
-		w.appendFrame(secOrderChunk, edges)
-	}
-	if len(cps) > 0 {
-		w.appendFrame(secCheckpointChunk, cps)
-	}
-	if len(quanta) > 0 {
-		w.appendFrame(secQuantaChunk, quanta)
-	}
-	w.maybeSync()
-	return w.err
+	w.chunks(quanta, syscalls, edges, cps)
+	return w.flush()
 }
 
 // AppendRecipe seals the bridge-recipe frame. Ring recordings write it
 // immediately after the header sections, so even a journal torn at the
 // first flush still knows how to re-derive the region by re-execution.
 func (w *JournalWriter) AppendRecipe(r *Recipe) error {
-	w.appendFrame(secRecipe, r)
-	w.maybeSync()
-	return w.err
+	w.frame(secRecipe, r)
+	return w.flush()
 }
 
 // AppendWindowSeal records that the ring recorder sealed flush window id
@@ -161,28 +96,28 @@ func (w *JournalWriter) AppendRecipe(r *Recipe) error {
 // with the recipe frame this makes an interrupted ring journal fully
 // recoverable: every sealed window becomes a verifiable gap.
 func (w *JournalWriter) AppendWindowSeal(id, fromStep, toStep int64, hash uint64) error {
-	w.appendFrame(secRingWindow, ringWindowV1{ID: id, FromStep: fromStep, ToStep: toStep, Hash: hash})
-	w.maybeSync()
-	return w.err
+	w.frame(secRingWindow, ringWindowV1{ID: id, FromStep: fromStep, ToStep: toStep, Hash: hash})
+	return w.flush()
 }
 
-// Commit writes the authoritative meta from the finished pinball,
-// fsyncs and closes the journal — only then is the file a complete,
-// loadable pinball.
+// Commit appends the ring frame (ring recordings only), the final meta
+// from the finished pinball and the commit marker, then fsyncs and
+// closes the journal — only then is the file a complete, loadable
+// pinball.
 func (w *JournalWriter) Commit(final *Pinball) error {
-	if final.RingBytes != 0 || final.SampleKeep != 0 || len(final.Evictions) > 0 || final.Recipe != nil {
-		w.appendFrame(secRing, ringV1{final.RingBytes, final.SampleKeep, final.Evictions, final.Recipe})
+	if r := final.ring(); r != nil {
+		w.frame(secRing, r)
 	}
-	w.appendFrame(secCommit, final.meta(nil))
+	manifest := append(append([]byte(nil), w.ids...), secCommit)
+	w.frame(secMeta, final.meta(manifest))
+	w.frame(secCommit, nil)
 	if w.err == nil {
-		if err := w.f.Sync(); err != nil {
-			w.fail(err)
-		}
+		w.err = w.f.Sync()
 	}
 	if err := w.f.Close(); err != nil && w.err == nil {
-		w.fail(err)
+		w.err = err
 	}
-	return w.err
+	return w.Err()
 }
 
 // Abort closes the journal without committing. The file is left on disk:
@@ -190,39 +125,40 @@ func (w *JournalWriter) Commit(final *Pinball) error {
 // its checkpoint-consistent prefix.
 func (w *JournalWriter) Abort() error {
 	if err := w.f.Close(); err != nil && w.err == nil {
-		w.fail(err)
+		w.err = err
 	}
-	return w.err
+	return w.Err()
 }
 
-// journalParts is the raw content of a journal's valid frame prefix.
+// journalParts is the raw content of a file's valid frame prefix.
 type journalParts struct {
 	kindB     byte
-	meta      metaV1 // provisional at first, overwritten by the commit frame
+	meta      metaV1 // the last meta frame read
 	hasMeta   bool
 	committed bool
 	p         *Pinball
 	frames    int
-	end       int64 // byte offset just past the last good frame
+	end       int64  // byte offset just past the last good frame
+	ids       []byte // non-meta frame ids read, in file order
+	// holed is set when the frames disagree with the meta's manifest: a
+	// frame was dropped or duplicated, which a tear cannot do.
+	holed bool
 
-	// Ring (flight-recorder) journal state: ringMode is set by the recipe
+	// Ring (flight-recorder) state: ringMode is set by the recipe or ring
 	// frame; windows accumulates every window-seal frame, in order.
 	ringMode bool
 	windows  []ringWindowV1
 }
 
-// readJournalFrames walks the journal's frames from the top of file,
-// accumulating chunks in order, until end of file, the commit frame, or
-// the first damaged frame — in which case the error describes the damage
-// and parts holds everything before it (parts.end is the damage offset).
-func readJournalFrames(data []byte) (*journalParts, error) {
-	parts := &journalParts{p: &Pinball{}, end: journalHeaderLen}
-	if int64(len(data)) < journalHeaderLen {
-		parts.end = int64(len(data))
-		return parts, fmt.Errorf("%w: header ends after version byte", ErrTruncated)
-	}
+// readFrames walks the frames of a file whose header checkHeader
+// accepted, accumulating chunks in order, until end of file, the commit
+// marker, or the first damaged frame — in which case the error describes
+// the damage and parts holds everything before it (parts.end is the
+// damage offset).
+func readFrames(data []byte) (*journalParts, error) {
+	parts := &journalParts{p: &Pinball{}, end: headerLen}
 	parts.kindB = data[len(fileMagic)+1]
-	for off := journalHeaderLen; off < int64(len(data)); {
+	for off := headerLen; off < int64(len(data)); {
 		f, next, err := readFrame(data, off, parts.frames+1)
 		if err != nil {
 			return parts, err
@@ -243,54 +179,66 @@ func readJournalFrames(data []byte) (*journalParts, error) {
 	return parts, nil
 }
 
-// applyFrame merges one valid frame into the accumulated journal state.
+// checkManifest holds the frames read so far to the last meta's
+// manifest: they must be a prefix of it, and all of it once the commit
+// marker is read. A provisional meta (no manifest) defers the check.
+func (j *journalParts) checkManifest(f frame) error {
+	m := j.meta.Sections
+	if f.id == secCommit && len(j.ids) != len(m) || m != nil && !bytes.HasPrefix(m, j.ids) {
+		j.holed = true
+		return fmt.Errorf("%w: section id %d (#%d) at byte offset %d: the %d frames read so far disagree with the %d-frame manifest",
+			ErrCorrupt, f.id, f.index, f.off, len(j.ids), len(m))
+	}
+	return nil
+}
+
+// applyFrame merges one valid frame into the accumulated state.
 func (j *journalParts) applyFrame(f frame) error {
+	if f.id == secMeta {
+		var m metaV1
+		if err := f.decode(&m); err != nil {
+			return err
+		}
+		j.meta, j.hasMeta = m, true
+		return j.checkManifest(f)
+	}
+	j.ids = append(j.ids, f.id)
+	if err := j.checkManifest(f); err != nil {
+		return err
+	}
 	switch f.id {
-	case secMeta:
-		if err := f.decode(&j.meta); err != nil {
-			return err
-		}
-		j.hasMeta = true
 	case secCommit:
-		if err := f.decode(&j.meta); err != nil {
-			return err
+		if len(f.payload) != 0 {
+			return fmt.Errorf("%w: commit marker (#%d) at byte offset %d carries %d payload bytes", ErrCorrupt, f.index, f.off, len(f.payload))
 		}
-		j.hasMeta, j.committed = true, true
+		j.committed = true
 	case secState:
 		return f.decode(&j.p.State)
+	case secSlice:
+		var sl sliceV1
+		if err := f.decode(&sl); err != nil {
+			return err
+		}
+		j.p.Exclusions, j.p.Injections = sl.Exclusions, sl.Injections
 	case secQuantaChunk:
 		var q []vm.Quantum
 		if err := f.decode(&q); err != nil {
 			return err
 		}
 		// A flush boundary can split a still-open quantum across chunks;
-		// re-merge adjacent same-thread runs so the decoded schedule is the
-		// machine's maximal run-length form, bit-identical to a Save.
-		for _, e := range q {
-			if n := len(j.p.Quanta); n > 0 && j.p.Quanta[n-1].Tid == e.Tid {
-				j.p.Quanta[n-1].Count += e.Count
-				continue
-			}
-			j.p.Quanta = append(j.p.Quanta, e)
+		// re-merge it so the decoded schedule is the recorder's. Runs
+		// inside one chunk are kept as written.
+		if n := len(j.p.Quanta); n > 0 && len(q) > 0 && j.p.Quanta[n-1].Tid == q[0].Tid {
+			j.p.Quanta[n-1].Count += q[0].Count
+			q = q[1:]
 		}
+		j.p.Quanta = append(j.p.Quanta, q...)
 	case secSyscallChunk:
-		var s []vm.SyscallRecord
-		if err := f.decode(&s); err != nil {
-			return err
-		}
-		j.p.Syscalls = append(j.p.Syscalls, s...)
+		return decodeAppend(f, &j.p.Syscalls)
 	case secOrderChunk:
-		var e []vm.OrderEdge
-		if err := f.decode(&e); err != nil {
-			return err
-		}
-		j.p.OrderEdges = append(j.p.OrderEdges, e...)
+		return decodeAppend(f, &j.p.OrderEdges)
 	case secCheckpointChunk:
-		var c []Checkpoint
-		if err := f.decode(&c); err != nil {
-			return err
-		}
-		j.p.Checkpoints = append(j.p.Checkpoints, c...)
+		return decodeAppend(f, &j.p.Checkpoints)
 	case secRecipe:
 		var r Recipe
 		if err := f.decode(&r); err != nil {
@@ -314,23 +262,17 @@ func (j *journalParts) applyFrame(f frame) error {
 		if rg.Recipe != nil {
 			j.p.Recipe = rg.Recipe
 		}
+		j.ringMode = true
 	}
 	return nil // checksum-verified unknown section: skip
 }
 
-// decodeJournal reads a committed journal from the full file bytes.
-func decodeJournal(data []byte) (*Pinball, error) {
-	parts, err := readJournalFrames(data)
-	if err != nil {
-		return nil, err
+// decodeAppend decodes a chunk frame and appends its elements to *dst.
+func decodeAppend[T any](f frame, dst *[]T) error {
+	var chunk []T
+	if err := f.decode(&chunk); err != nil {
+		return err
 	}
-	if !parts.committed {
-		return nil, fmt.Errorf("%w: journal has no commit frame — the recording was interrupted (run drrepair, or load with salvage enabled)", ErrTruncated)
-	}
-	p := parts.p
-	p.applyMeta(parts.meta)
-	if kindByte(p.Kind) != parts.kindB {
-		return nil, fmt.Errorf("%w: header kind %q does not match meta kind %q", ErrCorrupt, parts.kindB, p.Kind)
-	}
-	return p, nil
+	*dst = append(*dst, chunk...)
+	return nil
 }

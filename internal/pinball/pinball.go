@@ -10,6 +10,7 @@ package pinball
 import (
 	"fmt"
 
+	"repro/internal/fnv1a"
 	"repro/internal/isa"
 	"repro/internal/vm"
 )
@@ -253,14 +254,8 @@ func (p *Pinball) Validate() error {
 // edges) plus every divergence-checkpoint hash, which pins down the
 // recorded instruction stream itself.
 func (p *Pinball) ID() string {
-	const (
-		offset uint64 = 14695981039346656037
-		prime  uint64 = 1099511628211
-	)
-	h := offset
-	fold := func(v int64) {
-		h = (h ^ uint64(v)) * prime
-	}
+	h := fnv1a.Offset
+	fold := func(v int64) { h = fnv1a.Fold(h, uint64(v)) }
 	for _, b := range []byte(p.ProgramName) {
 		fold(int64(b))
 	}

@@ -60,7 +60,7 @@ type Recipe struct {
 	EnvClock int64
 }
 
-// ringV1 is the ring section payload (v2 section / v3 commit frame):
+// ringV1 is the ring frame payload:
 // everything flight-recorder mode adds to a pinball.
 type ringV1 struct {
 	RingBytes  int64
@@ -69,7 +69,7 @@ type ringV1 struct {
 	Recipe     *Recipe
 }
 
-// ringWindowV1 is the v3 window-seal frame payload: appended when the
+// ringWindowV1 is the window-seal frame payload: appended when the
 // recorder seals a flush window, before it is known whether the window
 // will survive the budget. It is what lets Salvage reconstruct a fully
 // bridgeable pinball from an interrupted ring journal.

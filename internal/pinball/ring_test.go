@@ -122,7 +122,7 @@ func TestRingIdentityCoversRingFields(t *testing.T) {
 // window-seal frame — with no content chunks and no commit (exactly what a
 // crash mid ring recording leaves). It returns the file bytes and the byte
 // offset of every frame in order (recipe first).
-func writeRingJournal(t *testing.T) ([]byte, []int64) {
+func writeRingJournal(t testing.TB) ([]byte, []int64) {
 	t.Helper()
 	base := journalPinball()
 	path := filepath.Join(t.TempDir(), "ring.journal")

@@ -7,23 +7,22 @@ import (
 
 // Salvage recovers a usable pinball from a damaged file. Where Decode
 // must reject a torn or bit-flipped file outright, Salvage keeps the
-// longest prefix of CRC-valid, decodable sections and reconstitutes a
-// consistent partial pinball from it:
+// longest prefix of CRC-valid, decodable frames and truncates it to the
+// last divergence checkpoint its surviving schedule chunks cover — an
+// interrupted recording and a torn Save alike. The result replays
+// bit-identically to the original execution up to that checkpoint, and
+// slices like any other pinball. When the final meta survived and
+// proves the schedule complete (a file torn inside its checkpoint chunk,
+// which follows the schedule, or inside its commit marker), the region
+// is recovered whole; it is unverified when no checkpoint survived. An interrupted ring journal is
+// rebuilt as a fully evicted pinball instead (salvageRing).
 //
-//   - A framed (v2) file that lost only trailing optional sections
-//     (order edges, divergence checkpoints) is rebuilt whole; the meta
-//     section's manifest proves the lost sections were optional.
-//   - An interrupted journal (v3, no commit frame — a crash or kill mid
-//     recording) is truncated to the last divergence checkpoint covered
-//     by its surviving schedule chunks: the result replays bit-identically
-//     to the original execution up to that checkpoint, and slices like
-//     any other pinball.
-//
-// Damage that costs data replay cannot do without — the initial state,
-// the schedule, recorded syscall results, a slice pinball's injections,
-// or (when truncation is needed) every checkpoint — fails with
-// ErrUnsalvageable. The report describes what was kept, what was lost
-// and where the damage sits, whether salvage succeeded or not.
+// A prefix that lost the meta, the initial state or every schedule
+// chunk, or that has neither a covered checkpoint nor a complete
+// schedule, fails with ErrUnsalvageable, as does a file whose frames
+// disagree with its manifest (a frame dropped or duplicated, which no
+// tear produces). The report describes what was kept and where the
+// damage sits, whether salvage succeeded or not.
 
 // SalvageReport describes a salvage attempt.
 type SalvageReport struct {
@@ -45,11 +44,10 @@ type SalvageReport struct {
 	DamageOffset int64  `json:"damage_offset"`
 	DamageCause  string `json:"damage_cause,omitempty"`
 
-	SectionsKept int    `json:"sections_kept"`
-	LostSections []byte `json:"lost_sections,omitempty"` // known-lost ids (v2 manifest)
+	SectionsKept int `json:"sections_kept"`
 
-	// OriginalInstrs is the recorded region length when known (0 for an
-	// uncommitted journal, whose final length died with the recording).
+	// OriginalInstrs is the recorded region length when known (0 when the
+	// final meta did not survive: an interrupted recording).
 	// SalvagedInstrs is the region length of the recovered pinball.
 	OriginalInstrs int64 `json:"original_instrs,omitempty"`
 	SalvagedInstrs int64 `json:"salvaged_instrs"`
@@ -58,8 +56,9 @@ type SalvageReport struct {
 	// checkpoint; CheckpointStep is that checkpoint's global region step.
 	Truncated      bool  `json:"truncated"`
 	CheckpointStep int64 `json:"checkpoint_step,omitempty"`
-	// Unverified is set when the recovered pinball lost its divergence
-	// checkpoints: it replays, but replay cannot be validated windows-wise.
+	// Unverified is set when the region was recovered whole but none of
+	// its divergence checkpoints survived: it replays, but replay cannot
+	// be validated window by window.
 	Unverified bool `json:"unverified,omitempty"`
 	// Evicted counts the sealed flight-recorder windows recovered as
 	// evictions from an interrupted ring journal: their content was still
@@ -78,9 +77,6 @@ func (r *SalvageReport) Summary() string {
 		s += fmt.Sprintf("\nfirst damage at byte offset %d: %s", r.DamageOffset, r.DamageCause)
 	} else if r.DamageCause != "" {
 		s += "\n" + r.DamageCause
-	}
-	if len(r.LostSections) > 0 {
-		s += fmt.Sprintf("\nlost sections: %v", r.LostSections)
 	}
 	if r.Truncated {
 		s += fmt.Sprintf("\ntruncated to the last intact divergence checkpoint: %d instructions (region step %d)",
@@ -127,99 +123,19 @@ func SalvageBytes(data []byte) (*Pinball, *SalvageReport, error) {
 		return p, rep, nil
 	}
 
-	if len(data) < len(fileMagic)+1 || string(data[:len(fileMagic)]) != fileMagic {
-		rep.DamageCause = "no pinball magic"
-		return nil, rep, fmt.Errorf("%w: not a pinball file", ErrUnsalvageable)
+	if err := checkHeader(data); err != nil {
+		rep.DamageCause = err.Error()
+		return nil, rep, fmt.Errorf("%w: %v", ErrUnsalvageable, err)
 	}
-	rep.Version = data[len(fileMagic)]
-	switch rep.Version {
-	case versionFramed:
-		return salvageFramed(data, rep)
-	case versionJournal:
-		return salvageJournal(data, rep)
-	}
-	rep.DamageCause = fmt.Sprintf("unknown format version %d", rep.Version)
-	return nil, rep, fmt.Errorf("%w: unknown format version %d", ErrUnsalvageable, rep.Version)
+	rep.Version = formatVersion
+	return salvageJournal(data, rep)
 }
 
-// replayCritical are the section ids replay cannot run without. The
-// slice section is critical only for slice pinballs (checked separately).
-var replayCritical = map[byte]string{
-	secMeta:     "meta",
-	secState:    "initial state",
-	secSchedule: "schedule",
-	secSyscalls: "syscall results",
-}
-
-// salvageFramed recovers a framed (v2) file: the valid frame prefix is
-// kept, and the meta manifest decides whether the lost tail mattered.
-func salvageFramed(data []byte, rep *SalvageReport) (*Pinball, *SalvageReport, error) {
-	if int64(len(data)) < framedHeaderLen {
-		rep.DamageCause = "file ends inside the header"
-		return nil, rep, fmt.Errorf("%w: file ends inside the header", ErrUnsalvageable)
-	}
-	count := int(data[len(fileMagic)+2])
-	p := &Pinball{}
-	meta := metaV1{}
-	seen := map[byte]bool{}
-	off := framedHeaderLen
-	for i := 1; i <= count; i++ {
-		f, next, err := readFrame(data, off, i)
-		if err == nil && seen[f.id] {
-			err = fmt.Errorf("%w: duplicate section id %d (#%d) at byte offset %d", ErrCorrupt, f.id, i, f.off)
-		}
-		if err == nil {
-			err = f.apply(p, &meta)
-		}
-		if err != nil {
-			rep.DamageOffset, rep.DamageCause = off, err.Error()
-			break
-		}
-		seen[f.id] = true
-		rep.SectionsKept++
-		off = next
-	}
-	rep.BytesKept = off
-
-	// Which sections did the tear cost? Old files without a manifest
-	// cannot prove the lost tail was optional, so they only salvage when
-	// every declared section survived (i.e. only trailing garbage or a
-	// torn final frame past the declared count — rare, but cheap to keep).
-	if !seen[secMeta] {
-		return nil, rep, fmt.Errorf("%w: the meta section did not survive", ErrUnsalvageable)
-	}
-	if len(meta.Sections) == 0 && rep.SectionsKept < count {
-		return nil, rep, fmt.Errorf("%w: file predates the section manifest; cannot prove the %d lost sections were optional",
-			ErrUnsalvageable, count-rep.SectionsKept)
-	}
-	for _, id := range meta.Sections {
-		if seen[id] {
-			continue
-		}
-		rep.LostSections = append(rep.LostSections, id)
-		if what, critical := replayCritical[id]; critical {
-			return nil, rep, fmt.Errorf("%w: the %s section did not survive", ErrUnsalvageable, what)
-		}
-		if id == secSlice && meta.Kind == KindSlice {
-			return nil, rep, fmt.Errorf("%w: the slice pinball's exclusion/injection section did not survive", ErrUnsalvageable)
-		}
-		if id == secCheckpoints {
-			rep.Unverified = true
-		}
-	}
-	p.applyMeta(meta)
-	rep.OriginalInstrs, rep.SalvagedInstrs = p.RegionInstrs, p.RegionInstrs
-	if err := p.Validate(); err != nil {
-		return nil, rep, fmt.Errorf("%w: salvaged content is inconsistent: %v", ErrUnsalvageable, err)
-	}
-	return p, rep, nil
-}
-
-// salvageJournal recovers an interrupted or damaged journal (v3): the
-// valid frame prefix is truncated to the last divergence checkpoint its
-// schedule chunks cover.
+// salvageJournal recovers a torn or interrupted file: the valid frame
+// prefix is truncated to the last divergence checkpoint its schedule
+// chunks cover.
 func salvageJournal(data []byte, rep *SalvageReport) (*Pinball, *SalvageReport, error) {
-	parts, scanErr := readJournalFrames(data)
+	parts, scanErr := readFrames(data)
 	rep.BytesKept = parts.end
 	rep.SectionsKept = parts.frames
 	rep.Committed = parts.committed
@@ -231,8 +147,10 @@ func salvageJournal(data []byte, rep *SalvageReport) (*Pinball, *SalvageReport, 
 
 	p := parts.p
 	switch {
+	case parts.holed:
+		return nil, rep, fmt.Errorf("%w: the frames disagree with the manifest, so a frame was dropped or duplicated", ErrUnsalvageable)
 	case !parts.hasMeta:
-		return nil, rep, fmt.Errorf("%w: the provisional meta frame did not survive", ErrUnsalvageable)
+		return nil, rep, fmt.Errorf("%w: the meta frame did not survive", ErrUnsalvageable)
 	case p.State == nil:
 		return nil, rep, fmt.Errorf("%w: the initial state frame did not survive", ErrUnsalvageable)
 	}
@@ -246,7 +164,7 @@ func salvageJournal(data []byte, rep *SalvageReport) (*Pinball, *SalvageReport, 
 		return nil, rep, fmt.Errorf("%w: no schedule chunk survived", ErrUnsalvageable)
 	}
 	p.applyMeta(parts.meta)
-	rep.OriginalInstrs = parts.meta.RegionInstrs // 0 unless the commit frame survived
+	rep.OriginalInstrs = parts.meta.RegionInstrs // 0 unless the final meta survived
 
 	if parts.committed && scanErr == nil {
 		// Clean committed journal (Decode would have accepted it; only
@@ -258,9 +176,13 @@ func salvageJournal(data []byte, rep *SalvageReport) (*Pinball, *SalvageReport, 
 		return p, rep, nil
 	}
 
-	// The recording was cut mid-flight: anchor at the last checkpoint the
-	// surviving schedule covers. Chunk ordering inside a flush (quanta
-	// last) guarantees every event at or before that step survived too.
+	// The file was cut short. Only a final meta has a manifest, and every
+	// event chunk precedes the schedule, so a final meta plus a complete
+	// schedule means the region survived whole (a file torn inside its
+	// checkpoint chunk or its commit marker): keep it, unverified only
+	// when no checkpoint survived. Otherwise anchor at the last
+	// checkpoint the surviving schedule covers; every event at or before
+	// that step survived too.
 	scheduled := p.TotalQuantumInstrs()
 	anchor := int64(-1)
 	for _, cp := range p.Checkpoints {
@@ -268,13 +190,16 @@ func salvageJournal(data []byte, rep *SalvageReport) (*Pinball, *SalvageReport, 
 			anchor = cp.Step
 		}
 	}
-	if anchor <= 0 {
+	switch {
+	case parts.meta.Sections != nil && scheduled == p.RegionInstrs:
+		rep.Unverified = len(p.Checkpoints) == 0
+	case anchor > 0:
+		p.truncateToStep(anchor)
+		rep.Truncated, rep.CheckpointStep = true, anchor
+	default:
 		return nil, rep, fmt.Errorf("%w: no intact divergence checkpoint to anchor a truncation (recording covered %d scheduled instructions)",
 			ErrUnsalvageable, scheduled)
 	}
-	p.truncateToStep(anchor)
-	rep.Truncated = true
-	rep.CheckpointStep = anchor
 	rep.SalvagedInstrs = p.RegionInstrs
 	if err := p.Validate(); err != nil {
 		return nil, rep, fmt.Errorf("%w: salvaged content is inconsistent: %v", ErrUnsalvageable, err)
@@ -294,7 +219,7 @@ func salvageRing(parts *journalParts, rep *SalvageReport) (*Pinball, *SalvageRep
 		return nil, rep, fmt.Errorf("%w: ring journal has no sealed window to anchor a recovery", ErrUnsalvageable)
 	}
 	p.applyMeta(parts.meta)
-	rep.OriginalInstrs = parts.meta.RegionInstrs // 0 unless the commit frame survived
+	rep.OriginalInstrs = parts.meta.RegionInstrs // 0 unless the final meta survived
 
 	var end int64
 	evs := make([]Eviction, 0, len(parts.windows))
@@ -311,16 +236,7 @@ func salvageRing(parts *journalParts, rep *SalvageReport) (*Pinball, *SalvageRep
 	p.Quanta, p.Syscalls, p.OrderEdges = nil, nil, nil
 	p.Evictions = evs
 	p.RegionInstrs, p.MainInstrs = end, 0
-
-	cps := p.Checkpoints[:0:0]
-	for _, cp := range p.Checkpoints {
-		if cp.Step <= end {
-			cps = append(cps, cp)
-		}
-	}
-	p.Checkpoints = cps
-	p.EndReason = "salvaged"
-	p.Failure = nil
+	p.dropPast(end)
 
 	rep.Truncated = true
 	rep.CheckpointStep = end
@@ -336,8 +252,7 @@ func salvageRing(parts *journalParts, rep *SalvageReport) (*Pinball, *SalvageRep
 // the schedule is trimmed (splitting the quantum the boundary lands in),
 // region accounting recomputed, and checkpoints/injections past the
 // boundary dropped. Trailing syscall results and order edges are
-// unreachable by the shortened replay and kept harmlessly. The recorded
-// failure sat at the region's (lost) end, so it is cleared.
+// unreachable by the shortened replay and kept harmlessly.
 func (p *Pinball) truncateToStep(step int64) {
 	var total int64
 	trimmed := p.Quanta[:0:0]
@@ -362,7 +277,13 @@ func (p *Pinball) truncateToStep(step int64) {
 		}
 	}
 	p.MainInstrs = main
+	p.dropPast(step)
+}
 
+// dropPast drops the checkpoints and injections past step and marks the
+// pinball salvaged. The recorded failure sat at the region's lost end,
+// so it is cleared.
+func (p *Pinball) dropPast(step int64) {
 	cps := p.Checkpoints[:0:0]
 	for _, cp := range p.Checkpoints {
 		if cp.Step <= step {

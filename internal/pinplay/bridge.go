@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 
+	"repro/internal/fnv1a"
 	"repro/internal/isa"
 	"repro/internal/pinball"
 	"repro/internal/vm"
@@ -91,7 +92,7 @@ type gapHasher struct {
 }
 
 func newGapHasher(evs []pinball.Eviction) *gapHasher {
-	return &gapHasher{evs: evs, h: fnvOffset, got: make([]uint64, len(evs)), done: make([]bool, len(evs))}
+	return &gapHasher{evs: evs, h: fnv1a.Offset, got: make([]uint64, len(evs)), done: make([]bool, len(evs))}
 }
 
 func (g *gapHasher) OnInstr(ev *vm.InstrEvent) {
@@ -106,7 +107,7 @@ func (g *gapHasher) OnInstr(ev *vm.InstrEvent) {
 	g.h = foldEvent(g.h, ev)
 	if g.step == e.ToStep {
 		g.got[g.pos], g.done[g.pos] = g.h, true
-		g.h = fnvOffset
+		g.h = fnv1a.Offset
 		g.pos++
 	}
 }

@@ -3,6 +3,7 @@ package pinplay
 import (
 	"sort"
 
+	"repro/internal/fnv1a"
 	"repro/internal/pinball"
 	"repro/internal/vm"
 )
@@ -92,7 +93,7 @@ func (r *Recorder) EnableRing(budget, sample, windowEvery int64, recipe *pinball
 	if windowEvery <= 0 {
 		windowEvery = DefaultJournalFlushEvery
 	}
-	r.ring = &ringState{budget: budget, sample: sample, recipe: recipe, hash: fnvOffset}
+	r.ring = &ringState{budget: budget, sample: sample, recipe: recipe, hash: fnv1a.Offset}
 	r.tracer.ring = r.ring
 	r.tracer.flushEvery = windowEvery
 	r.tracer.flush = r.sealRing
@@ -144,7 +145,7 @@ func (r *Recorder) sealRingWindow(final bool) {
 	}
 	rs.nextID++
 	rs.sealedTo = rs.step
-	rs.hash = fnvOffset // windowed: the next window hashes afresh
+	rs.hash = fnv1a.Offset // windowed: the next window hashes afresh
 	if r.jw != nil {
 		if len(dc) > 0 {
 			r.jw.AppendChunk(nil, nil, nil, dc)
@@ -158,7 +159,7 @@ func (r *Recorder) sealRingWindow(final bool) {
 // retained event streams onto the finished pinball. Retained quanta are
 // re-merged across window boundaries (a seal can split a still-open
 // quantum), matching both the machine's maximal run-length form and the
-// v3 decoder's chunk merge.
+// decoder's chunk merge.
 func (r *Recorder) finishRing(pb *pinball.Pinball) {
 	rs := r.ring
 	r.sealRingWindow(true)

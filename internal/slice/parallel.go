@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/cfg"
+	"repro/internal/fnv1a"
 	"repro/internal/isa"
 	"repro/internal/tracer"
 )
@@ -503,7 +504,7 @@ func (s *ParallelSlicer) newQuery(crit tracer.Ref) (*query, error) {
 		// deps is sized from the engine's running maximum so
 		// steady-state queries allocate their result exactly once.
 		deps:    make([]DepEdge, 0, s.depsHint.Load()),
-		depHash: fnvOffset,
+		depHash: fnv1a.Offset,
 		batch:   sc.batch[:0],
 	}, nil
 }

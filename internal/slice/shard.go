@@ -5,6 +5,7 @@ import (
 	"math/bits"
 	"sort"
 
+	"repro/internal/fnv1a"
 	"repro/internal/tracer"
 )
 
@@ -240,19 +241,19 @@ type Summary struct {
 // foldDep folds one dependence edge into the FNV-1a digest in its
 // append order: the edge stream is deterministic, so so is the fold.
 func foldDep(h uint64, d DepEdge) uint64 {
-	h = foldCache(h, uint64(uint32(d.From.Tid)))
-	h = foldCache(h, uint64(uint32(d.From.Pos)))
-	h = foldCache(h, uint64(uint32(d.To.Tid)))
-	h = foldCache(h, uint64(uint32(d.To.Pos)))
-	h = foldCache(h, uint64(d.Kind))
-	h = foldCache(h, uint64(d.Loc))
+	h = fnv1a.Fold(h, uint64(uint32(d.From.Tid)))
+	h = fnv1a.Fold(h, uint64(uint32(d.From.Pos)))
+	h = fnv1a.Fold(h, uint64(uint32(d.To.Tid)))
+	h = fnv1a.Fold(h, uint64(uint32(d.To.Pos)))
+	h = fnv1a.Fold(h, uint64(d.Kind))
+	h = fnv1a.Fold(h, uint64(d.Loc))
 	return h
 }
 
 // foldRef folds one member reference into the digest.
 func foldRef(h uint64, r tracer.Ref) uint64 {
-	h = foldCache(h, uint64(uint32(r.Tid)))
-	h = foldCache(h, uint64(uint32(r.Pos)))
+	h = fnv1a.Fold(h, uint64(uint32(r.Tid)))
+	h = fnv1a.Fold(h, uint64(uint32(r.Pos)))
 	return h
 }
 
@@ -260,7 +261,7 @@ func foldRef(h uint64, r tracer.Ref) uint64 {
 // order, then members in ascending global order. This is the
 // single-node reference the fleet's shard chain is checked against.
 func Summarize(sl *Slice) Summary {
-	h := fnvOffset
+	h := fnv1a.Offset
 	for _, d := range sl.Deps {
 		h = foldDep(h, d)
 	}

@@ -55,7 +55,7 @@ int main() {
 // byte-identical, which is what the dedup tests need to control.
 func fakeJournal(payloads ...[]byte) []byte {
 	out := []byte("DRPB")
-	out = append(out, 3 /* journal version */, 'W')
+	out = append(out, 4 /* format version */, 'W')
 	for i, p := range payloads {
 		frame := make([]byte, 13)
 		frame[0] = byte(8 + i%5) // journal frame ids 8-12
@@ -467,5 +467,56 @@ func TestTouchAdvancesOnGet(t *testing.T) {
 	info, _ := s.Stat(digest)
 	if info.TouchUnix != 2000 || info.AddedUnix != 1000 {
 		t.Fatalf("touch=%d added=%d, want 2000/1000", info.TouchUnix, info.AddedUnix)
+	}
+}
+
+// TestResavedPinballDedupsToOneDigest proves equal recordings get equal
+// bytes: encoding one multi-page pinball repeatedly gives one byte
+// string, and putting a saved-then-reloaded copy finds the digest the
+// first put created.
+func TestResavedPinballDedupsToOneDigest(t *testing.T) {
+	pb, err := pinball.Decode(recordedPinball(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for pn := int64(0); pn < 16; pn++ {
+		pb.State.Mem[pn*7] = []int64{pn, -pn, 3 * pn}
+	}
+	first, err := pb.EncodeBytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		again, err := pb.EncodeBytes()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again, first) {
+			t.Fatalf("encode %d of the same pinball gave different bytes", i+2)
+		}
+	}
+	s := openT(t)
+	put, err := s.Put(first, PutMeta{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "resaved.pinball")
+	if err := pb.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := pinball.Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resaved, err := loaded.EncodeBytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := s.Put(resaved, PutMeta{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !again.Existed || again.Digest != put.Digest {
+		t.Fatalf("re-saved pinball stored as %s (existed=%v), want the existing %s", again.Digest, again.Existed, put.Digest)
 	}
 }

@@ -3,6 +3,12 @@ package vm
 // Paged, word-addressed shared memory. Pages materialise on first touch
 // and read as zero, so a fresh Memory is ready to use.
 
+import (
+	"encoding/binary"
+	"errors"
+	"slices"
+)
+
 const (
 	pageShift = 12
 	pageWords = 1 << pageShift
@@ -49,6 +55,57 @@ func (m *Memory) Write(addr int64, v int64) {
 // Image is a compact serialisable snapshot of memory: page number to page
 // contents. It is the form stored inside pinballs.
 type Image map[int64][]int64
+
+// GobEncode writes the image as (page number, length, words) varints in
+// ascending page order. Gob writes a plain map in iteration order, so
+// equal images, and the pinballs holding them, would otherwise encode to
+// different bytes.
+func (img Image) GobEncode() ([]byte, error) {
+	pns := make([]int64, 0, len(img))
+	for pn := range img {
+		pns = append(pns, pn)
+	}
+	slices.Sort(pns)
+	var buf []byte
+	for _, pn := range pns {
+		buf = binary.AppendVarint(buf, pn)
+		buf = binary.AppendUvarint(buf, uint64(len(img[pn])))
+		for _, w := range img[pn] {
+			buf = binary.AppendVarint(buf, w)
+		}
+	}
+	return buf, nil
+}
+
+var errBadImage = errors.New("vm: malformed memory image encoding")
+
+// GobDecode rebuilds an image written by GobEncode.
+func (img *Image) GobDecode(data []byte) error {
+	m := Image{}
+	for len(data) > 0 {
+		pn, n := binary.Varint(data)
+		if n <= 0 {
+			return errBadImage
+		}
+		data = data[n:]
+		count, n := binary.Uvarint(data)
+		// Every word takes at least one byte, which bounds the allocation.
+		if n <= 0 || count > uint64(len(data)-n) {
+			return errBadImage
+		}
+		data = data[n:]
+		words := make([]int64, count)
+		for i := range words {
+			if words[i], n = binary.Varint(data); n <= 0 {
+				return errBadImage
+			}
+			data = data[n:]
+		}
+		m[pn] = words
+	}
+	*img = m
+	return nil
+}
 
 // Snapshot deep-copies the touched pages into an Image.
 func (m *Memory) Snapshot() Image {
