@@ -96,9 +96,12 @@ matrix-smoke:
 perfbench-check:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
-# Bounded fuzz of the pinball reader: FuzzDecode runs every input
-# through Decode and SalvageBytes, which must return a typed error or a
-# valid pinball and never panic. Crashers land in
-# internal/pinball/testdata/fuzz/ and are replayed by plain go test.
+# Bounded fuzz of the byte-parsing boundaries. FuzzDecode runs every
+# input through the pinball reader's Decode and SalvageBytes, which must
+# return a typed error or a valid pinball and never panic. FuzzManifest
+# replays store manifests, which must load or fail ErrManifestCorrupt
+# and survive an append and a compaction. Crashers land in each
+# package's testdata/fuzz/ and are replayed by plain go test.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzDecode -fuzztime=15s ./internal/pinball/
+	$(GO) test -run='^$$' -fuzz=FuzzManifest -fuzztime=15s ./internal/store/

@@ -163,7 +163,6 @@ func main() {
 			RetryBase:         *backoff,
 			HedgeAfter:        *hedgeAfter,
 			ShardWindows:      *shardWindows,
-			DrainTimeout:      *drainTimeout,
 			Logf:              log.Printf,
 		}, *drainTimeout)
 		return

@@ -38,8 +38,8 @@ func CrashPoints(data []byte) []CrashPoint {
 		}
 		pts = append(pts,
 			at("before", s.Off),
-			at("in-header", s.Off+sectionHeaderLen/2),
-			at("mid-payload", s.Off+sectionHeaderLen+(s.Len-sectionHeaderLen)/2),
+			at("in-header", s.Off+(s.Payload-s.Off)/2),
+			at("mid-payload", s.Payload+(s.Off+s.Len-s.Payload)/2),
 		)
 	}
 	if n := int64(len(data)); n > 0 {

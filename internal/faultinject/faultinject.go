@@ -19,6 +19,7 @@ package faultinject
 
 import (
 	"encoding/binary"
+	"hash/crc32"
 
 	"repro/internal/isa"
 	"repro/internal/pinball"
@@ -36,12 +37,6 @@ type FileCorruptor struct {
 	// corruptor does not apply to this file (it never mutates data).
 	Apply func(data []byte) (out []byte, ok bool)
 }
-
-// headerLen is the file header: magic + version + kind.
-const headerLen = 4 + 1 + 1
-
-// sectionHeaderLen mirrors the framing: id (1B) + length (8B) + CRC (4B).
-const sectionHeaderLen = 1 + 8 + 4
 
 // clone copies data so corruptors never alias the caller's bytes.
 func clone(data []byte) []byte {
@@ -103,7 +98,7 @@ func FileCorruptors() []FileCorruptor {
 			Name: "swap-kind-byte",
 			Want: pinball.ErrCorrupt,
 			Apply: func(data []byte) ([]byte, bool) {
-				if len(data) < headerLen {
+				if int64(len(data)) < pinball.HeaderLen {
 					return nil, false
 				}
 				out := clone(data)
@@ -120,11 +115,12 @@ func FileCorruptors() []FileCorruptor {
 			Want: pinball.ErrCorrupt,
 			Apply: func(data []byte) ([]byte, bool) {
 				s, ok := findSection(data, secSchedule)
-				if !ok || s.Len <= sectionHeaderLen {
+				end := s.Off + s.Len
+				if !ok || end <= s.Payload {
 					return nil, false
 				}
 				out := clone(data)
-				out[s.Off+sectionHeaderLen+(s.Len-sectionHeaderLen)/2] ^= 0x10
+				out[s.Payload+(end-s.Payload)/2] ^= 0x10
 				return out, true
 			},
 		},
@@ -137,7 +133,7 @@ func FileCorruptors() []FileCorruptor {
 					return nil, false
 				}
 				out := clone(data)
-				crc := out[s.Off+9 : s.Off+13]
+				crc := out[s.Payload-crc32.Size : s.Payload] // the CRC closes the frame header
 				if binary.BigEndian.Uint32(crc) == 0 {
 					binary.BigEndian.PutUint32(crc, 0xFFFFFFFF)
 				} else {
@@ -164,7 +160,7 @@ func FileCorruptors() []FileCorruptor {
 			Name: "truncate-tail",
 			Want: pinball.ErrTruncated,
 			Apply: func(data []byte) ([]byte, bool) {
-				if len(data) < headerLen+16 {
+				if int64(len(data)) < pinball.HeaderLen+16 {
 					return nil, false
 				}
 				return clone(data[:len(data)-16]), true
@@ -174,7 +170,7 @@ func FileCorruptors() []FileCorruptor {
 			Name: "truncate-half",
 			Want: pinball.ErrTruncated,
 			Apply: func(data []byte) ([]byte, bool) {
-				if len(data) < headerLen*2 {
+				if int64(len(data)) < pinball.HeaderLen*2 {
 					return nil, false
 				}
 				return clone(data[:len(data)/2]), true

@@ -2,11 +2,12 @@ package fleet
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math/rand"
 	"net"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -33,12 +34,11 @@ type Config struct {
 	RetryMax    time.Duration
 
 	// HedgeAfter is the straggler deadline: a shard hop unanswered for
-	// this long is offered to the steal queue so any idle worker can race
-	// the straggler, first response wins (default 1s).
+	// this long is also sent to the next-ranked live worker, first
+	// response wins (default 1s).
 	HedgeAfter time.Duration
-	// ShardDeadline backstops a hedged hop: if neither the push path nor
-	// a stealer answers within it, the hop fails typed (default
-	// 2×RequestTimeout).
+	// ShardDeadline bounds one hop, hedges and failovers included: a hop
+	// unanswered within it fails typed (default 2×RequestTimeout).
 	ShardDeadline time.Duration
 
 	// RequestTimeout is the per-forward I/O deadline — a stalled worker
@@ -53,20 +53,8 @@ type Config struct {
 	ShardWindows    int
 	MinShardWorkers int
 
-	// StealWait bounds an OpSteal long-poll (default 250ms).
-	StealWait time.Duration
-
-	// MaxInflight sheds load fleet-wide: session requests beyond it are
-	// rejected with CodeOverload before touching any worker (default
-	// 4 × the live fleet's summed capacity, recomputed per request;
-	// negative disables shedding).
-	MaxInflight int
-
 	// Breaker tunes the per-worker transport circuit breaker.
 	Breaker BreakerConfig
-
-	// DrainTimeout bounds Shutdown's graceful phase (default 10s).
-	DrainTimeout time.Duration
 
 	// Logf logs coordinator events (nil = silent).
 	Logf func(format string, args ...any)
@@ -118,12 +106,6 @@ func (c Config) withDefaults() Config {
 	if c.MinShardWorkers <= 0 {
 		c.MinShardWorkers = 2
 	}
-	if c.StealWait <= 0 {
-		c.StealWait = 250 * time.Millisecond
-	}
-	if c.DrainTimeout <= 0 {
-		c.DrainTimeout = 10 * time.Second
-	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
 	}
@@ -143,13 +125,12 @@ func (c Config) withDefaults() Config {
 
 // Coordinator fronts the fleet: a line-JSON TCP server that accepts the
 // same session requests a drserved worker would, routes them to live
-// workers, and answers fleet ops (register/heartbeat/steal/fetch) from
-// the workers themselves.
+// workers, and answers fleet ops (register/heartbeat) from the workers
+// themselves.
 type Coordinator struct {
 	cfg   Config
 	reg   *Registry
 	wbrk  *workerBreaker
-	queue *stealQueue
 	start time.Time
 
 	received     atomic.Int64
@@ -159,13 +140,10 @@ type Coordinator struct {
 	sessions     atomic.Int64 // session ops between admission and response
 	inflight     atomic.Int64 // requests between line-read and response-written
 	draining     atomic.Bool
-	taskSeq      atomic.Int64
 
-	// tmu guards the fleet link state: stealable tasks by ID (for
-	// OpFetch result matching) and the open per-worker connections (so a
-	// dead worker's links can be severed, unblocking forwards instantly).
+	// tmu guards the open per-worker connections, so a dead worker's
+	// links can be severed, unblocking forwards instantly.
 	tmu   sync.Mutex
-	tasks map[string]*task
 	links map[string]map[*sessiond.Client]struct{}
 
 	mu       sync.Mutex
@@ -185,9 +163,7 @@ func NewCoordinator(cfg Config) *Coordinator {
 		cfg:   cfg,
 		reg:   NewRegistry(timeout, cfg.Now),
 		wbrk:  newWorkerBreaker(cfg.Breaker, cfg.Now),
-		queue: newStealQueue(),
 		start: time.Now(),
-		tasks: make(map[string]*task),
 		links: make(map[string]map[*sessiond.Client]struct{}),
 		conns: make(map[net.Conn]struct{}),
 		stop:  make(chan struct{}),
@@ -269,10 +245,7 @@ func (co *Coordinator) handleConn(conn net.Conn) {
 	sc := bufio.NewScanner(conn)
 	sc.Buffer(make([]byte, 0, 64<<10), 4<<20)
 	enc := json.NewEncoder(conn)
-	var wmu sync.Mutex // steal long-polls answer concurrently with pipelined requests
 	send := func(resp sessiond.Response) {
-		wmu.Lock()
-		defer wmu.Unlock()
 		if err := enc.Encode(&resp); err != nil {
 			co.cfg.Logf("fleet: write to %s: %v", conn.RemoteAddr(), err)
 		}
@@ -303,13 +276,8 @@ func (co *Coordinator) dispatch(req *sessiond.Request, send func(sessiond.Respon
 	case sessiond.OpStats:
 		send(co.stats(req))
 		return
-	case sessiond.OpRegister, sessiond.OpHeartbeat, sessiond.OpSteal, sessiond.OpFetch:
-		if req.Proto < sessiond.ProtoV2 {
-			send(sessiond.Response{ID: req.ID, OK: false, Code: sessiond.CodeBadRequest,
-				Error: fmt.Sprintf("op %q requires proto>=%d", req.Op, sessiond.ProtoV2)})
-			return
-		}
-		send(co.fleetOp(req))
+	case sessiond.OpRecord, sessiond.OpReplay, sessiond.OpSlice, sessiond.OpDualSlice, sessiond.OpSliceShard:
+		co.session(req, send)
 		return
 	case sessiond.OpStorePut, sessiond.OpStoreFetch, sessiond.OpStoreStat, sessiond.OpStoreLocate:
 		if req.Proto < sessiond.ProtoV2 {
@@ -327,10 +295,19 @@ func (co *Coordinator) dispatch(req *sessiond.Request, send func(sessiond.Respon
 		send(resp)
 		return
 	}
+	if req.Proto < sessiond.ProtoV2 {
+		send(sessiond.Response{ID: req.ID, OK: false, Code: sessiond.CodeBadRequest,
+			Error: fmt.Sprintf("op %q requires proto>=%d", req.Op, sessiond.ProtoV2)})
+		return
+	}
+	send(co.fleetOp(req))
+}
 
-	// A session op. Shed before routing: drain refuses outright, and the
-	// fleet-wide in-flight cap rejects what the workers' own admission
-	// queues would only make wait.
+// session routes one session op. Shed before routing: drain refuses
+// outright, and the fleet-wide in-flight cap (4 × the live fleet's
+// summed capacity) rejects what the workers' own admission queues would
+// only make wait.
+func (co *Coordinator) session(req *sessiond.Request, send func(sessiond.Response)) {
 	co.received.Add(1)
 	if co.draining.Load() {
 		co.failed.Add(1)
@@ -338,7 +315,7 @@ func (co *Coordinator) dispatch(req *sessiond.Request, send func(sessiond.Respon
 			Error: "coordinator is draining"})
 		return
 	}
-	if limit := co.inflightLimit(); limit >= 0 && co.sessions.Load() >= int64(limit) {
+	if limit := 4 * co.reg.Capacity(); limit > 0 && co.sessions.Load() >= int64(limit) {
 		co.failed.Add(1)
 		send(sessiond.Response{ID: req.ID, OK: false, Code: sessiond.CodeOverload,
 			Error: fmt.Sprintf("fleet saturated: %d sessions in flight against capacity %d", co.sessions.Load(), co.reg.Capacity())})
@@ -353,23 +330,6 @@ func (co *Coordinator) dispatch(req *sessiond.Request, send func(sessiond.Respon
 		co.failed.Add(1)
 	}
 	send(resp)
-}
-
-// inflightLimit resolves the fleet-wide shedding threshold; -1 disables.
-func (co *Coordinator) inflightLimit() int {
-	if co.cfg.MaxInflight < 0 {
-		return -1
-	}
-	if co.cfg.MaxInflight > 0 {
-		return co.cfg.MaxInflight
-	}
-	total := co.reg.Capacity()
-	if total == 0 {
-		// No live workers: let route answer CodeNoWorkers, which is more
-		// actionable than overload.
-		return -1
-	}
-	return 4 * total
 }
 
 // fleetOp answers a worker-originated op.
@@ -391,45 +351,8 @@ func (co *Coordinator) fleetOp(req *sessiond.Request) sessiond.Response {
 	case sessiond.OpHeartbeat:
 		known := co.reg.Heartbeat(req.Worker, req.Load)
 		return sessiond.Response{ID: req.ID, OK: true, Result: encode(sessiond.HeartbeatResult{Known: known})}
-	case sessiond.OpSteal:
-		t := co.queue.get(co.cfg.StealWait)
-		return sessiond.Response{ID: req.ID, OK: true, Result: encode(co.handOut(t))}
-	case sessiond.OpFetch:
-		co.resolveFetch(req)
-		return sessiond.Response{ID: req.ID, OK: true, Result: encode(co.handOut(co.queue.tryGet()))}
 	}
 	return sessiond.Response{ID: req.ID, OK: false, Code: sessiond.CodeBadRequest, Error: "unknown fleet op " + req.Op}
-}
-
-// handOut wraps a task for the wire and counts the dispatch.
-func (co *Coordinator) handOut(t *task) sessiond.TaskResult {
-	if t == nil {
-		return sessiond.TaskResult{}
-	}
-	t.dispatches.Add(1)
-	return sessiond.TaskResult{Task: &sessiond.ShardTask{ID: t.id, Req: t.req}}
-}
-
-// resolveFetch matches a stolen task's result back to its waiter.
-// Unknown task IDs (the push path already won, or the query moved on)
-// are discarded — the worker's compute was the hedge's cost.
-func (co *Coordinator) resolveFetch(req *sessiond.Request) {
-	co.tmu.Lock()
-	t := co.tasks[req.TaskID]
-	co.tmu.Unlock()
-	if t == nil {
-		return
-	}
-	if req.TaskErr != "" {
-		t.deliver(&sessiond.Response{OK: false, Code: sessiond.CodeInternal, Error: req.TaskErr})
-		return
-	}
-	var resp sessiond.Response
-	if err := json.Unmarshal(req.TaskState, &resp); err != nil {
-		co.cfg.Logf("fleet: fetch for task %s carried malformed response: %v", req.TaskID, err)
-		return
-	}
-	t.deliver(&resp)
 }
 
 // route answers one session request. Slice queries fan out as
@@ -445,80 +368,89 @@ func (co *Coordinator) route(req *sessiond.Request) sessiond.Response {
 }
 
 // forward sends req whole to the rendezvous owner of key, failing over
-// to the next-ranked live worker with capped decorrelated-jitter
-// backoff on transport errors. Typed failures pass through unchanged —
-// they are the session's own answer, not the fleet's. A success that
-// needed failover is annotated CodeRedispatched (unless the session
-// already carries a stronger annotation like salvaged/degraded).
+// down the ranking with capped decorrelated-jitter backoff on transport
+// errors. It never hedges: whole sessions such as record are not
+// idempotent. Typed failures pass through unchanged — they are the
+// session's own answer, not the fleet's.
 func (co *Coordinator) forward(req *sessiond.Request, key string) sessiond.Response {
-	tried := make(map[string]bool)
-	var backoff time.Duration
-	var lastErr error
-	redispatched := false
-	for attempt := 0; attempt < co.cfg.MaxAttempts; attempt++ {
-		if attempt > 0 {
-			backoff = supervisor.DecorrelatedJitter(backoff, co.cfg.RetryBase, co.cfg.RetryMax, co.cfg.Rand)
-			co.cfg.Sleep(backoff)
-			redispatched = true
-		}
-		w, ok := co.pick(key, tried)
-		if !ok {
-			break
-		}
-		resp, err := co.send(w, req, nil)
-		if err != nil {
-			co.cfg.Logf("fleet: forward %s to %s failed: %v", req.Op, w.Name, err)
-			tried[w.Name] = true
-			lastErr = err
-			continue
-		}
-		if redispatched {
-			co.redispatches.Add(1)
-			if resp.OK && resp.Code == "" {
-				resp.Code = sessiond.CodeRedispatched
-			}
-		}
-		resp.ID = req.ID
-		return *resp
+	ranked := co.ranked(key)
+	resp, _, dispatches, err := supervisor.Failover(context.Background(), len(ranked), co.policy(0),
+		func(ctx context.Context, i int) (*sessiond.Response, error) {
+			return co.send(ctx, ranked[i], req)
+		})
+	if err != nil {
+		return noWorkers(req.ID, "no live worker to route to", dispatches, err)
 	}
-	msg := "no live worker to route to"
-	if lastErr != nil {
-		msg = fmt.Sprintf("no worker answered after %d attempts: %v", co.cfg.MaxAttempts, lastErr)
-	}
-	return sessiond.Response{ID: req.ID, OK: false, Code: sessiond.CodeNoWorkers, Error: msg}
+	return co.answer(req, *resp, dispatches > 1)
 }
 
-// pick routes key to its best live worker, skipping already-tried
-// workers and open circuits.
-func (co *Coordinator) pick(key string, tried map[string]bool) (WorkerInfo, bool) {
-	return co.reg.Route(key, func(name string) bool {
-		return tried[name] || co.wbrk.open(name)
-	})
+// ranked lists key's live workers best-first, skipping open circuits.
+func (co *Coordinator) ranked(key string) []WorkerInfo {
+	return co.reg.Ranked(key, co.wbrk.open)
 }
 
-// send performs one forward against one worker with a fresh connection
+// policy is the coordinator's failover policy, hedging after hedge
+// (0 = never).
+func (co *Coordinator) policy(hedge time.Duration) supervisor.FailoverPolicy {
+	return supervisor.FailoverPolicy{
+		Attempts:   co.cfg.MaxAttempts,
+		Base:       co.cfg.RetryBase,
+		Max:        co.cfg.RetryMax,
+		HedgeAfter: hedge,
+		Sleep:      co.cfg.Sleep,
+		Rand:       co.cfg.Rand,
+	}
+}
+
+// answer stamps a worker's response for req. An answer that needed
+// more than one dispatch counts as a re-dispatch and, unless the
+// session already carries a stronger annotation (salvaged, degraded),
+// is annotated CodeRedispatched.
+func (co *Coordinator) answer(req *sessiond.Request, resp sessiond.Response, redispatched bool) sessiond.Response {
+	if redispatched {
+		co.redispatches.Add(1)
+		if resp.OK && resp.Code == "" {
+			resp.Code = sessiond.CodeRedispatched
+		}
+	}
+	resp.ID = req.ID
+	return resp
+}
+
+// noWorkers types a race that produced no answer at all; none is the
+// message when there was no candidate to try.
+func noWorkers(id, none string, dispatches int, err error) sessiond.Response {
+	msg := none
+	if !errors.Is(err, supervisor.ErrNoCandidates) {
+		msg = fmt.Sprintf("no worker answered after %d attempts: %v", dispatches, err)
+	}
+	return sessiond.Response{ID: id, OK: false, Code: sessiond.CodeNoWorkers, Error: msg}
+}
+
+// send performs one request against one worker with a fresh connection
 // and a per-request I/O deadline, charging transport failures (and only
 // those) to the worker's circuit. The link is registered under the
-// worker's name so a dead-worker sweep can sever it, and under t (when
-// hedging) so the first response cancels it.
-func (co *Coordinator) send(w WorkerInfo, req *sessiond.Request, t *task) (*sessiond.Response, error) {
+// worker's name so a dead-worker sweep can sever it, and closed when
+// ctx ends so a lost race stops at once. A loser cut off that way is
+// not charged: the worker did nothing wrong.
+func (co *Coordinator) send(ctx context.Context, w WorkerInfo, req *sessiond.Request) (*sessiond.Response, error) {
 	c, err := co.cfg.Dial(w.Addr, co.cfg.DialTimeout)
 	if err != nil {
 		co.wbrk.failure(w.Name)
+		co.cfg.Logf("fleet: %s to %s failed: %v", req.Op, w.Name, err)
 		return nil, err
 	}
 	co.trackLink(w.Name, c)
 	defer co.untrackLink(w.Name, c)
 	defer c.Close()
-	var unhook func()
-	if t != nil {
-		unhook = t.onCancel(func() { c.Close() })
-		defer unhook()
-	}
+	defer context.AfterFunc(ctx, func() { c.Close() })()
 	c.SetDeadline(time.Now().Add(co.cfg.RequestTimeout))
 	resp, err := c.Do(req)
 	if err != nil {
-		co.wbrk.failure(w.Name)
+		if ctx.Err() == nil {
+			co.wbrk.failure(w.Name)
+			co.cfg.Logf("fleet: %s to %s failed: %v", req.Op, w.Name, err)
+		}
 		return nil, err
 	}
 	co.wbrk.success(w.Name)
@@ -580,8 +512,8 @@ func (co *Coordinator) distributedSlice(req *sessiond.Request, key string) sessi
 		sreq.Proto = sessiond.ProtoCurrent
 		sreq.State = state
 		sreq.ShardWindows = co.cfg.ShardWindows
-		resp, hopRedispatched := co.runShard(&sreq, key)
-		redispatched = redispatched || hopRedispatched
+		resp, dispatches := co.runShard(&sreq, key)
+		redispatched = redispatched || dispatches > 1
 		if !resp.OK {
 			resp.ID = req.ID
 			return resp
@@ -592,14 +524,7 @@ func (co *Coordinator) distributedSlice(req *sessiond.Request, key string) sessi
 				Error: "malformed shard result: " + err.Error()}
 		}
 		if sr.Done {
-			code := resp.Code
-			if redispatched {
-				co.redispatches.Add(1)
-				if code == "" {
-					code = sessiond.CodeRedispatched
-				}
-			}
-			return sessiond.Response{ID: req.ID, OK: true, Code: code, Report: resp.Report,
+			return co.answer(req, sessiond.Response{OK: true, Code: resp.Code, Report: resp.Report,
 				Result: encode(sessiond.SliceResult{
 					Members:        sr.Members,
 					TraceLen:       sr.TraceLen,
@@ -607,7 +532,7 @@ func (co *Coordinator) distributedSlice(req *sessiond.Request, key string) sessi
 					PrunedBypasses: int(sr.Pruned),
 					Digest:         sr.Digest,
 					Prov:           sr.Prov,
-				})}
+				})}, redispatched)
 		}
 		state = sr.State
 	}
@@ -615,85 +540,41 @@ func (co *Coordinator) distributedSlice(req *sessiond.Request, key string) sessi
 		Error: "shard chain exceeded hop limit"}
 }
 
-// runShard resolves one shard hop: push-dispatch to the rendezvous
-// owner, offer to the steal queue if the push has not answered by the
-// straggler deadline, first response wins. It reports whether the
-// answer needed more than one dispatch.
-func (co *Coordinator) runShard(sreq *sessiond.Request, key string) (sessiond.Response, bool) {
-	t := newTask(strconv.FormatInt(co.taskSeq.Add(1), 10), sreq)
-	co.tmu.Lock()
-	co.tasks[t.id] = t
-	co.tmu.Unlock()
-	defer func() {
-		co.tmu.Lock()
-		delete(co.tasks, t.id)
-		co.tmu.Unlock()
-	}()
-
-	go co.pushShard(t, key)
-
-	hedge := time.NewTimer(co.cfg.HedgeAfter)
-	defer hedge.Stop()
-	select {
-	case resp := <-t.respc:
-		return *resp, t.dispatches.Load() > 1
-	case <-hedge.C:
-	}
-
-	// Straggler: put the hop up for stealing so any idle worker can race
-	// the push path. Execution is idempotent, so the duplicate is safe;
-	// whichever answer lands first wins and cancels the other.
-	co.queue.put(t)
-	backstop := time.NewTimer(co.cfg.ShardDeadline)
-	defer backstop.Stop()
-	select {
-	case resp := <-t.respc:
-		return *resp, t.dispatches.Load() > 1
-	case <-backstop.C:
-		t.deliver(&sessiond.Response{OK: false, Code: sessiond.CodeTimeout,
-			Error: "shard unanswered past the hedge backstop"})
-		return *<-t.respc, t.dispatches.Load() > 1
-	}
-}
-
-// pushShard is a hop's push path: the forward loop, but delivering into
-// the task so a stolen duplicate can win instead. If every push attempt
-// fails on transport and the task was never offered for stealing, the
-// push delivers the typed failure itself — nobody else will.
-func (co *Coordinator) pushShard(t *task, key string) {
-	tried := make(map[string]bool)
-	var backoff time.Duration
-	var lastErr error
-	for attempt := 0; attempt < co.cfg.MaxAttempts && !t.done.Load(); attempt++ {
-		if attempt > 0 {
-			backoff = supervisor.DecorrelatedJitter(backoff, co.cfg.RetryBase, co.cfg.RetryMax, co.cfg.Rand)
-			co.cfg.Sleep(backoff)
-		}
-		w, ok := co.pick(key, tried)
-		if !ok {
-			break
-		}
-		t.dispatches.Add(1)
-		resp, err := co.send(w, t.req, t)
-		if err != nil {
-			if !t.done.Load() {
-				co.cfg.Logf("fleet: shard %s on %s failed: %v", t.id, w.Name, err)
+// runShard resolves one shard hop: dispatch to the rendezvous owner,
+// hedge to the next-ranked worker if no answer arrived by HedgeAfter,
+// fail over on transport errors, first answer wins. Hops are idempotent
+// (a pure state→state function), so a duplicate is safe. A hedge's
+// retryable refusal (overload, draining) never beats an attempt still
+// running; if nothing else answers, the refusal is the hop's answer.
+// It also returns the number of dispatches.
+func (co *Coordinator) runShard(sreq *sessiond.Request, key string) (sessiond.Response, int) {
+	ranked := co.ranked(key)
+	ctx, cancel := context.WithTimeout(context.Background(), co.cfg.ShardDeadline)
+	defer cancel()
+	var running atomic.Int32
+	var refusal atomic.Pointer[sessiond.Response]
+	resp, _, dispatches, err := supervisor.Failover(ctx, len(ranked), co.policy(co.cfg.HedgeAfter),
+		func(ctx context.Context, i int) (*sessiond.Response, error) {
+			running.Add(1)
+			defer running.Add(-1)
+			resp, err := co.send(ctx, ranked[i], sreq)
+			if err == nil && !resp.OK && (resp.Code == sessiond.CodeOverload || resp.Code == sessiond.CodeDraining) &&
+				running.Load() > 1 {
+				refusal.Store(resp)
+				return nil, fmt.Errorf("%s refused the hop: %s", ranked[i].Name, resp.Code)
 			}
-			tried[w.Name] = true
-			lastErr = err
-			continue
-		}
-		t.deliver(resp)
-		return
+			return resp, err
+		})
+	switch {
+	case err == nil:
+		return *resp, dispatches
+	case refusal.Load() != nil:
+		return *refusal.Load(), dispatches
+	case errors.Is(err, context.DeadlineExceeded):
+		return sessiond.Response{OK: false, Code: sessiond.CodeTimeout,
+			Error: fmt.Sprintf("shard unanswered within %v", co.cfg.ShardDeadline)}, dispatches
 	}
-	if t.offered.Load() {
-		return // a stealer may still answer; the backstop bounds the wait
-	}
-	msg := "no live worker to route to"
-	if lastErr != nil {
-		msg = fmt.Sprintf("no worker answered after %d attempts: %v", co.cfg.MaxAttempts, lastErr)
-	}
-	t.deliver(&sessiond.Response{OK: false, Code: sessiond.CodeNoWorkers, Error: msg})
+	return noWorkers("", "no live worker to route to", dispatches, err), dispatches
 }
 
 func (co *Coordinator) health(req *sessiond.Request) sessiond.Response {
@@ -707,13 +588,13 @@ func (co *Coordinator) health(req *sessiond.Request) sessiond.Response {
 		Ready:    !draining && len(co.reg.Alive()) > 0,
 		Status:   status,
 		Active:   len(co.reg.Alive()),
-		Queued:   co.queue.depth(),
+		Queued:   0,
 		UptimeMS: time.Since(co.start).Milliseconds(),
 	})}
 }
 
 // stats reuses the sessiond stats shape with fleet meanings: Active is
-// live workers, Queued the steal-queue depth, BreakersOpen the open
+// live workers, Queued 0 (no work waits at the coordinator), BreakersOpen the open
 // per-worker circuits, Rejected the re-dispatch count.
 func (co *Coordinator) stats(req *sessiond.Request) sessiond.Response {
 	return sessiond.Response{ID: req.ID, OK: true, Result: encode(sessiond.StatsResult{
@@ -723,7 +604,7 @@ func (co *Coordinator) stats(req *sessiond.Request) sessiond.Response {
 		Completed:    co.completed.Load(),
 		Failed:       co.failed.Load(),
 		Active:       len(co.reg.Alive()),
-		Queued:       co.queue.depth(),
+		Queued:       0,
 		BreakersOpen: co.wbrk.openCount(),
 	})}
 }

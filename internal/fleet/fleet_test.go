@@ -315,6 +315,48 @@ func TestDeadWorkerRedispatch(t *testing.T) {
 	}
 }
 
+// TestStragglingHopHedgedToSuccessor: the rendezvous owner holds every
+// slice_shard hop forever but stays alive (the injected clock never
+// lets a sweep declare it dead). After HedgeAfter the coordinator pushes
+// the hop to the next-ranked worker, whose answer wins, annotated
+// redispatched — no agent, no pull, no wait for ShardDeadline.
+func TestStragglingHopHedgedToSuccessor(t *testing.T) {
+	clk := newFakeClock()
+	holderAddr := fakeWorker(t, func(req *sessiond.Request) *sessiond.Response {
+		return nil // straggler: never answers
+	})
+	successorAddr := fakeWorker(t, func(req *sessiond.Request) *sessiond.Response {
+		if req.Op != sessiond.OpSliceShard {
+			return &sessiond.Response{ID: req.ID, OK: false, Code: sessiond.CodeBadRequest, Error: "want slice_shard"}
+		}
+		return &sessiond.Response{ID: req.ID, OK: true, Result: encode(sessiond.ShardResult{
+			Done: true, Members: 3, TraceLen: 9, Digest: "successor"})}
+	})
+
+	co, addr := startCoordinator(t, Config{HedgeAfter: 20 * time.Millisecond, Now: clk.Now})
+	co.Registry().Register(WorkerInfo{Name: "holder", Addr: holderAddr, Capacity: 4})
+	co.Registry().Register(WorkerInfo{Name: "successor", Addr: successorAddr, Capacity: 4})
+	pinballPath := probeKeyFor(t, co.Registry(), "holder")
+
+	c, err := sessiond.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	c.SetDeadline(time.Now().Add(2 * time.Second))
+	resp, err := c.Do(&sessiond.Request{Op: sessiond.OpSlice, File: "x.c", Pinball: pinballPath, Var: "counter"})
+	if err != nil {
+		t.Fatalf("straggling hop not hedged within 2s: %v", err)
+	}
+	if !resp.OK || resp.Code != sessiond.CodeRedispatched {
+		t.Fatalf("hedged slice: %+v", resp)
+	}
+	var got sessiond.SliceResult
+	if err := json.Unmarshal(resp.Result, &got); err != nil || got.Digest != "successor" {
+		t.Fatalf("hedged slice result %s: %v", resp.Result, err)
+	}
+}
+
 func TestCoordinatorNoWorkers(t *testing.T) {
 	_, addr := startCoordinator(t, Config{})
 	c, err := sessiond.Dial(addr)
@@ -460,7 +502,6 @@ func startWorker(t *testing.T, name, coord string, beatHook func() bool) *sessio
 		Name:        name,
 		Addr:        lis.Addr().String(),
 		Capacity:    4,
-		StealIdle:   10 * time.Millisecond,
 		BeatHook:    beatHook,
 	})
 	go agent.Run(ctx)
@@ -487,8 +528,8 @@ func waitAlive(t *testing.T, co *Coordinator, n int) {
 
 // TestFleetDistributedSliceBitIdentical is the fleet's correctness
 // anchor: a slice query fanned across two live workers as hedged
-// slice_shard hops (with an aggressive straggler deadline, so the steal
-// path runs too) must answer bit-identically — same digest, members,
+// slice_shard hops (with an aggressive straggler deadline, so every hop
+// is hedged to the rendezvous successor too) must answer bit-identically — same digest, members,
 // deps — to the same query on a single standalone daemon.
 func TestFleetDistributedSliceBitIdentical(t *testing.T) {
 	f := makeFleetFixture(t)
@@ -509,7 +550,7 @@ func TestFleetDistributedSliceBitIdentical(t *testing.T) {
 
 	co, addr := startCoordinator(t, Config{
 		HeartbeatInterval: 50 * time.Millisecond,
-		HedgeAfter:        time.Millisecond, // hedge every hop: exercise steal/fetch
+		HedgeAfter:        time.Millisecond, // hedge every hop: exercise the race
 		ShardWindows:      2,
 		RequestTimeout:    30 * time.Second,
 	})

@@ -3,15 +3,14 @@
 //
 // The topology is a single coordinator fronting any number of workers.
 // Each worker is an ordinary sessiond.Server plus an Agent that
-// registers with the coordinator, advertises its capacity, heartbeats
-// its liveness and load, and pulls stealable shard tasks. The
-// coordinator is itself a line-JSON TCP server — to a client it looks
+// registers with the coordinator, advertises its capacity and
+// heartbeats its liveness and load. The coordinator is itself a line-JSON TCP server — to a client it looks
 // exactly like a drserved instance — that routes session requests to
 // workers by rendezvous hashing on the pinball's content identity
 // (cache-hot routing: the same pinball always lands on the same
 // worker's engine LRU), sheds load fleet-wide, and executes slice
-// queries as distributed slice_shard chains with work stealing and
-// hedged straggler re-dispatch.
+// queries as distributed slice_shard chains with hedged straggler
+// re-dispatch.
 //
 // Failure domains are isolated per worker: a missed-heartbeat sweep
 // declares a worker dead, severs its in-flight links (so blocked
@@ -21,9 +20,10 @@
 // — counting only transport failures, never a pinball's own typed
 // failures — stop the coordinator from burning retries against a host
 // that stopped answering; and hedged shard requests race a straggling
-// worker against a stolen duplicate, first response wins, which is safe
-// because shard execution is a pure state→state function (see
-// internal/slice's shard soundness note).
+// worker against its rendezvous successor, first response wins, which
+// is safe because shard execution is a pure state→state function (see
+// internal/slice's shard soundness note). Every one of these races is
+// supervisor.Failover.
 package fleet
 
 import (

@@ -1,8 +1,8 @@
 package fleet
 
 import (
+	"context"
 	"encoding/json"
-	"fmt"
 	"sync"
 	"time"
 
@@ -23,7 +23,7 @@ func (co *Coordinator) storeOp(req *sessiond.Request) sessiond.Response {
 			return sessiond.Response{ID: req.ID, OK: false, Code: sessiond.CodeBadRequest,
 				Error: "store_locate needs digest"}
 		}
-		workers := co.reg.Ranked("digest:"+req.Digest, func(name string) bool { return co.wbrk.open(name) })
+		workers := co.ranked("digest:" + req.Digest)
 		addrs := make([]string, 0, len(workers))
 		for _, w := range workers {
 			addrs = append(addrs, w.Addr)
@@ -45,10 +45,10 @@ func (co *Coordinator) storeOp(req *sessiond.Request) sessiond.Response {
 }
 
 // storePut uploads the blob to the digest's rendezvous owner (failing
-// over down the ranking on transport errors) and then best-effort
-// replicates it to the next-ranked worker, so the owner dying does not
-// strand the fleet's only copy. The answer is the primary's, decorated
-// with the full acknowledged replica list. A typed refusal from a
+// over down the ranking on transport errors) and then makes one
+// best-effort replica send to the next-ranked worker, so the owner dying
+// does not strand the fleet's only copy. The answer is the primary's,
+// decorated with the acknowledged replica list. A typed refusal from a
 // worker (corrupt blob, no store configured) is the request's answer —
 // every other worker would refuse identically.
 func (co *Coordinator) storePut(req *sessiond.Request) sessiond.Response {
@@ -57,54 +57,29 @@ func (co *Coordinator) storePut(req *sessiond.Request) sessiond.Response {
 			Error: "store_put needs blob"}
 	}
 	digest := store.Digest(req.Blob)
-	ranked := co.reg.Ranked("digest:"+digest, func(name string) bool { return co.wbrk.open(name) })
-	if len(ranked) == 0 {
-		return sessiond.Response{ID: req.ID, OK: false, Code: sessiond.CodeNoWorkers,
-			Error: "no live worker to store on"}
+	ranked := co.ranked("digest:" + digest)
+	primary, owner, dispatches, err := supervisor.Failover(context.Background(), len(ranked), co.policy(0),
+		func(ctx context.Context, i int) (*sessiond.Response, error) {
+			return co.send(ctx, ranked[i], req)
+		})
+	if err != nil {
+		return noWorkers(req.ID, "no live worker to store on", dispatches, err)
+	}
+	primary.ID = req.ID
+	if !primary.OK {
+		return *primary
 	}
 
-	var primary *sessiond.Response
-	var acked []string
-	var lastErr error
-	var backoff time.Duration
-	attempts := 0
-	for _, w := range ranked {
-		if primary == nil && attempts >= co.cfg.MaxAttempts {
-			break
-		}
-		if primary == nil && attempts > 0 {
-			backoff = supervisor.DecorrelatedJitter(backoff, co.cfg.RetryBase, co.cfg.RetryMax, co.cfg.Rand)
-			co.cfg.Sleep(backoff)
-		}
-		attempts++
-		resp, err := co.send(w, req, nil)
-		if err != nil {
-			co.cfg.Logf("fleet: store_put %s to %s failed: %v", digest, w.Name, err)
-			lastErr = err
-			continue
-		}
-		if !resp.OK {
-			if primary == nil {
-				resp.ID = req.ID
-				return *resp
-			}
+	acked := []string{ranked[owner].Name}
+	if owner+1 < len(ranked) {
+		w := ranked[owner+1]
+		if resp, err := co.send(context.Background(), w, req); err == nil && resp.OK {
+			acked = append(acked, w.Name)
+		} else if err == nil {
 			// The replica refused (e.g. no store configured there); the
 			// primary already holds the bytes, so the put still succeeds.
 			co.cfg.Logf("fleet: store_put replica on %s refused: %s", w.Name, resp.Code)
-			break
 		}
-		acked = append(acked, w.Name)
-		if primary != nil {
-			break // owner + one successor is the replication factor
-		}
-		primary = resp
-	}
-	if primary == nil {
-		msg := "no live worker to store on"
-		if lastErr != nil {
-			msg = fmt.Sprintf("no worker accepted the put after %d attempts: %v", attempts, lastErr)
-		}
-		return sessiond.Response{ID: req.ID, OK: false, Code: sessiond.CodeNoWorkers, Error: msg}
 	}
 
 	// Decorate the primary's answer with who acknowledged the bytes.
@@ -113,7 +88,6 @@ func (co *Coordinator) storePut(req *sessiond.Request) sessiond.Response {
 		pr.Replicas = acked
 		primary.Result = encode(pr)
 	}
-	primary.ID = req.ID
 	return *primary
 }
 

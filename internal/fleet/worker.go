@@ -20,12 +20,8 @@ type AgentConfig struct {
 	// Capacity is the admission capacity advertised at registration.
 	Capacity int
 
-	// StealIdle is how long the steal loop rests after an empty poll
-	// (default 100ms; the coordinator's own long-poll does most of the
-	// waiting). RetryEvery paces reconnects to an unreachable
-	// coordinator (default 500ms). DialTimeout bounds each dial
-	// (default 2s).
-	StealIdle   time.Duration
+	// RetryEvery paces reconnects to an unreachable coordinator
+	// (default 500ms). DialTimeout bounds each dial (default 2s).
 	RetryEvery  time.Duration
 	DialTimeout time.Duration
 
@@ -40,9 +36,6 @@ type AgentConfig struct {
 }
 
 func (c AgentConfig) withDefaults() AgentConfig {
-	if c.StealIdle <= 0 {
-		c.StealIdle = 100 * time.Millisecond
-	}
 	if c.RetryEvery <= 0 {
 		c.RetryEvery = 500 * time.Millisecond
 	}
@@ -60,11 +53,11 @@ func (c AgentConfig) withDefaults() AgentConfig {
 	return c
 }
 
-// Agent joins a sessiond.Server to a coordinator: it registers,
-// heartbeats liveness and load, and pulls stealable shard tasks that it
-// executes in-process through Server.Execute — so stolen work counts
-// against the worker's own admission, quotas, breakers and drain
-// accounting exactly like connection-delivered work.
+// Agent joins a sessiond.Server to a coordinator: it registers and
+// heartbeats liveness and load. All work, shard hops and their hedges
+// included, arrives over the server's own listener, so it counts
+// against the worker's admission, quotas, breakers and drain
+// accounting.
 type Agent struct {
 	srv *sessiond.Server
 	cfg AgentConfig
@@ -76,14 +69,13 @@ func NewAgent(srv *sessiond.Server, cfg AgentConfig) *Agent {
 }
 
 // Run registers with the coordinator (retrying until it is reachable or
-// ctx ends), then drives the heartbeat and steal loops until ctx ends.
+// ctx ends), then drives the heartbeat loop until ctx ends.
 func (a *Agent) Run(ctx context.Context) error {
 	interval, err := a.register(ctx)
 	if err != nil {
 		return err
 	}
 	go a.heartbeatLoop(ctx, interval)
-	go a.stealLoop(ctx)
 	<-ctx.Done()
 	return nil
 }
@@ -176,58 +168,6 @@ func (a *Agent) heartbeatLoop(ctx context.Context, interval time.Duration) {
 			a.cfg.Logf("fleet: %s unknown to coordinator, re-registering", a.cfg.Name)
 			if _, err := a.registerOnce(); err != nil {
 				a.cfg.Logf("fleet: %s re-register: %v", a.cfg.Name, err)
-			}
-		}
-	}
-}
-
-// stealLoop pulls shard tasks and executes them locally, submitting
-// each result and fetching the next in one round trip. Steals ride
-// their own connection so a long-polled steal never delays a heartbeat.
-func (a *Agent) stealLoop(ctx context.Context) {
-	var c *sessiond.Client
-	defer func() {
-		if c != nil {
-			c.Close()
-		}
-	}()
-	idle := func() bool {
-		select {
-		case <-ctx.Done():
-			return false
-		case <-time.After(a.cfg.StealIdle):
-			return true
-		}
-	}
-	for ctx.Err() == nil {
-		if c == nil {
-			var err error
-			if c, err = a.cfg.Dial(a.cfg.Coordinator, a.cfg.DialTimeout); err != nil {
-				if !idle() {
-					return
-				}
-				continue
-			}
-		}
-		req := &sessiond.Request{Op: sessiond.OpSteal, Proto: sessiond.ProtoCurrent, Worker: a.cfg.Name}
-		for {
-			resp, err := c.Do(req)
-			if err != nil {
-				c.Close()
-				c = nil
-				break
-			}
-			var tr sessiond.TaskResult
-			if !resp.OK || json.Unmarshal(resp.Result, &tr) != nil || tr.Task == nil {
-				if !idle() {
-					return
-				}
-				break
-			}
-			out := a.srv.Execute(tr.Task.Req, "fleet:"+a.cfg.Name)
-			req = &sessiond.Request{
-				Op: sessiond.OpFetch, Proto: sessiond.ProtoCurrent,
-				Worker: a.cfg.Name, TaskID: tr.Task.ID, TaskState: encode(&out),
 			}
 		}
 	}

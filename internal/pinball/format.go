@@ -62,8 +62,9 @@ const (
 	formatVersion = byte(4)
 )
 
-// headerLen is the file header: magic + version + kind.
-const headerLen = int64(len(fileMagic) + 2)
+// HeaderLen is the length of the file header (magic + version + kind);
+// the first frame starts right after it.
+const HeaderLen = int64(len(fileMagic) + 2)
 
 // Frame ids. Unknown ids are checksum-verified and skipped (they must
 // still appear in the manifest), leaving room for additive extensions.
@@ -316,7 +317,7 @@ func checkHeader(data []byte) error {
 	if v := data[len(fileMagic)]; v != formatVersion {
 		return fmt.Errorf("%w: file has version %d, this build reads %d", ErrVersionSkew, v, formatVersion)
 	}
-	if int64(len(data)) < headerLen {
+	if int64(len(data)) < HeaderLen {
 		return fmt.Errorf("%w: header ends after version byte", ErrTruncated)
 	}
 	return nil
@@ -392,14 +393,17 @@ func gobDecode(r io.Reader, v any) (err error) {
 	return nil
 }
 
-// SectionInfo locates one frame inside a pinball file; Off is the frame
-// start and Len the full frame length (header + payload). The store
-// chunks files at these boundaries and the fault-injection harness uses
-// them to drop or damage precise frames.
+// SectionInfo locates one frame inside a pinball file: Off is the frame
+// start, Payload the payload start (the frame header, which ends with
+// the payload's CRC-32, lies in between) and Len the full frame length,
+// header plus payload. The store chunks files at these boundaries and
+// the fault-injection harness uses them to drop or damage precise
+// frames, so no caller needs its own copy of the frame layout.
 type SectionInfo struct {
-	ID  byte
-	Off int64
-	Len int64
+	ID      byte
+	Off     int64
+	Payload int64
+	Len     int64
 }
 
 // SectionOffsets walks the frames of pinball file bytes without decoding
@@ -409,7 +413,7 @@ func SectionOffsets(data []byte) ([]SectionInfo, error) {
 		return nil, err
 	}
 	var out []SectionInfo
-	for off := headerLen; off < int64(len(data)); {
+	for off := HeaderLen; off < int64(len(data)); {
 		if int64(len(data)) < off+sectionHeaderLen {
 			return nil, fmt.Errorf("%w: file ends inside section header %d", ErrTruncated, len(out)+1)
 		}
@@ -417,7 +421,7 @@ func SectionOffsets(data []byte) ([]SectionInfo, error) {
 		if n < 0 || n > maxSectionLen || int64(len(data)) < off+sectionHeaderLen+n {
 			return nil, fmt.Errorf("%w: section %d overruns the file", ErrTruncated, len(out)+1)
 		}
-		out = append(out, SectionInfo{ID: data[off], Off: off, Len: sectionHeaderLen + n})
+		out = append(out, SectionInfo{ID: data[off], Off: off, Payload: off + sectionHeaderLen, Len: sectionHeaderLen + n})
 		off += sectionHeaderLen + n
 	}
 	return out, nil

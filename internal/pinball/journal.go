@@ -156,9 +156,9 @@ type journalParts struct {
 // the damage and parts holds everything before it (parts.end is the
 // damage offset).
 func readFrames(data []byte) (*journalParts, error) {
-	parts := &journalParts{p: &Pinball{}, end: headerLen}
+	parts := &journalParts{p: &Pinball{}, end: HeaderLen}
 	parts.kindB = data[len(fileMagic)+1]
-	for off := headerLen; off < int64(len(data)); {
+	for off := HeaderLen; off < int64(len(data)); {
 		f, next, err := readFrame(data, off, parts.frames+1)
 		if err != nil {
 			return parts, err

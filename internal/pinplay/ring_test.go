@@ -1,7 +1,6 @@
 package pinplay
 
 import (
-	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
@@ -70,7 +69,7 @@ func logPair(t *testing.T, src string, spec RegionSpec, budget, sample int64) (*
 }
 
 func TestRingNoEvictionMatchesFullTrace(t *testing.T) {
-	full, ring := logPair(t, ioSrc, RegionSpec{}, 1 << 40, 0)
+	full, ring := logPair(t, ioSrc, RegionSpec{}, 1<<40, 0)
 	if len(ring.Evictions) != 0 {
 		t.Fatalf("unexpected evictions under a huge budget: %v", ring.Evictions)
 	}
@@ -333,21 +332,21 @@ func TestRingJournalTornSalvageBridges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Walk the journal's frames (13-byte header: id, length, CRC) and cut
-	// a few bytes into every window-seal frame (id 15) past the first.
-	const headerLen, frameHdr = 6, 13
+	// Walk the journal's frames and cut a few bytes into the header of
+	// every window-seal frame (id 15) past the first.
+	secs, err := pinball.SectionOffsets(data)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var cuts []int64
 	seals := 0
-	for off := int64(headerLen); off+frameHdr <= int64(len(data)); {
-		id := data[off]
-		plen := int64(binary.BigEndian.Uint64(data[off+1 : off+9]))
-		if id == 15 {
+	for _, s := range secs {
+		if s.ID == 15 {
 			seals++
 			if seals > 1 {
-				cuts = append(cuts, off+5)
+				cuts = append(cuts, s.Off+5)
 			}
 		}
-		off += frameHdr + plen
 	}
 	if len(cuts) == 0 {
 		t.Fatalf("recording sealed only %d windows; no mid-file tear point", seals)

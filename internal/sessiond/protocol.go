@@ -47,15 +47,11 @@ const (
 	OpStats     = "stats"  // server counters; never queued
 
 	// Fleet ops (ProtoV2). Worker-to-coordinator: OpRegister announces a
-	// worker and its capacity, OpHeartbeat refreshes its liveness,
-	// OpSteal asks for a pending shard task, OpFetch submits a finished
-	// task's result and fetches the next one in the same round trip.
+	// worker and its capacity, OpHeartbeat refreshes its liveness.
 	// Coordinator-to-worker: OpSliceShard advances one window range of a
 	// distributed slice query.
 	OpRegister   = "register"
 	OpHeartbeat  = "heartbeat"
-	OpSteal      = "steal"
-	OpFetch      = "fetch"
 	OpSliceShard = "slice_shard"
 
 	// Store ops: fetch-by-digest against the content-addressed pinball
@@ -198,19 +194,12 @@ type Request struct {
 	Proto int `json:"proto,omitempty"`
 
 	// Fleet fields (ProtoV2). Worker names the sending worker on
-	// register/heartbeat/steal/fetch; Addr/Capacity describe it at
+	// register/heartbeat; Addr/Capacity describe it at
 	// registration; Load is the heartbeat's current session count.
 	Worker   string `json:"fleet_worker,omitempty"`
 	Addr     string `json:"fleet_addr,omitempty"`
 	Capacity int    `json:"fleet_capacity,omitempty"`
 	Load     int    `json:"fleet_load,omitempty"`
-	// TaskID/TaskState/TaskErr return a completed task on OpFetch:
-	// TaskState is the full Response JSON the worker produced for the
-	// task's request, TaskErr a worker-side transport failure when no
-	// response could be produced at all.
-	TaskID    string          `json:"task_id,omitempty"`
-	TaskState json.RawMessage `json:"task_state,omitempty"`
-	TaskErr   string          `json:"task_err,omitempty"`
 	// State is OpSliceShard's query continuation (empty = fresh query at
 	// the request's criterion); ShardWindows is how many checkpoint
 	// windows the shard should advance (0 = one).
@@ -333,20 +322,6 @@ type RegisterResult struct {
 // or the coordinator restarted) — the worker must re-register.
 type HeartbeatResult struct {
 	Known bool `json:"known"`
-}
-
-// ShardTask is one unit of distributed work: a slice_shard request to
-// execute locally, identified for result matching and re-dispatch
-// accounting.
-type ShardTask struct {
-	ID  string   `json:"id"`
-	Req *Request `json:"req"`
-}
-
-// TaskResult answers OpSteal and OpFetch: the next task to run, or nil
-// when the queue is empty.
-type TaskResult struct {
-	Task *ShardTask `json:"task,omitempty"`
 }
 
 // ShardResult is OpSliceShard's payload: the successor query state,

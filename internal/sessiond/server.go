@@ -43,11 +43,6 @@ type Config struct {
 	// Locator names fleet peers for digest re-fetch during healing
 	// (nil = no peers; healing stops at salvage).
 	Locator Locator
-	// StoreRetry tunes the peer re-fetch ladder (zero = defaults).
-	StoreRetry StoreRetry
-	// SpoolCacheCap bounds the digest→spool-path resolution cache
-	// (0 = 64).
-	SpoolCacheCap int
 	// Logf logs server events (nil = silent).
 	Logf func(format string, args ...any)
 	// Chaos, when set, supplies a fault-injection observer for replaying
@@ -119,7 +114,7 @@ func New(c Config) *Server {
 		conns:      make(map[net.Conn]struct{}),
 	}
 	if c.Store != nil {
-		s.resolver = newStoreResolver(c.Store, c.Locator, c.StoreRetry, c.SpoolCacheCap, c.Logf)
+		s.resolver = newStoreResolver(c.Store, c.Locator, c.Logf)
 	}
 	return s
 }
@@ -370,11 +365,10 @@ func (s *Server) stats(req *Request) Response {
 }
 
 // Execute runs one request through the same pipeline dispatch uses and
-// returns its response instead of writing it to a connection. It is the
-// in-process entry the fleet worker agent uses for stolen tasks: the
-// request still counts against admission, quotas, breakers and drain
-// accounting, so a drain waits for stolen work exactly as it waits for
-// connection-delivered work.
+// returns its response instead of writing it to a connection — the
+// in-process entry for embedders and tests. The request still counts
+// against admission, quotas, breakers and drain accounting, so a drain
+// waits for it exactly as it waits for connection-delivered work.
 func (s *Server) Execute(req *Request, client string) Response {
 	s.inflight.Add(1)
 	defer s.inflight.Add(-1)

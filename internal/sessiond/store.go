@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"sync"
 	"time"
 
 	"repro/internal/lru"
@@ -23,47 +22,21 @@ type Locator interface {
 	Locate(digest string) []string
 }
 
-// StoreRetry tunes the peer re-fetch ladder: how many peers a heal may
-// try, the decorrelated-jitter backoff between sequential attempts, and
-// when to hedge the first fetch with the rendezvous successor.
-type StoreRetry struct {
-	// Attempts bounds how many peer dials one heal may spend (default 3).
-	Attempts int
-	// Base/Max shape the decorrelated-jitter backoff between sequential
-	// retry dials (defaults 25ms / 500ms).
-	Base time.Duration
-	Max  time.Duration
-	// HedgeAfter launches a second fetch at the next-ranked peer when the
-	// best one has not answered yet (default 400ms). First answer wins;
-	// the loser's connection is closed.
-	HedgeAfter time.Duration
-	// DialTimeout / FetchTimeout bound one peer's connect and transfer
-	// (defaults 2s / 30s).
-	DialTimeout  time.Duration
-	FetchTimeout time.Duration
-}
+// The peer re-fetch policy: at most refetchAttempts peer dials per
+// heal, a 25ms..500ms decorrelated-jitter backoff between sequential
+// dials, a hedge to the next-ranked peer when the best one has not
+// answered within 400ms, and per-peer dial and transfer deadlines.
+const (
+	refetchAttempts     = 3
+	refetchBackoffBase  = 25 * time.Millisecond
+	refetchBackoffMax   = 500 * time.Millisecond
+	refetchHedgeAfter   = 400 * time.Millisecond
+	refetchDialTimeout  = 2 * time.Second
+	refetchFetchTimeout = 30 * time.Second
 
-func (r StoreRetry) withDefaults() StoreRetry {
-	if r.Attempts <= 0 {
-		r.Attempts = 3
-	}
-	if r.Base <= 0 {
-		r.Base = 25 * time.Millisecond
-	}
-	if r.Max <= 0 {
-		r.Max = 500 * time.Millisecond
-	}
-	if r.HedgeAfter <= 0 {
-		r.HedgeAfter = 400 * time.Millisecond
-	}
-	if r.DialTimeout <= 0 {
-		r.DialTimeout = 2 * time.Second
-	}
-	if r.FetchTimeout <= 0 {
-		r.FetchTimeout = 30 * time.Second
-	}
-	return r
-}
+	// spoolCacheCap bounds the digest→spool-path resolution cache.
+	spoolCacheCap = 64
+)
 
 // errStoreUnavailable types store failures that are about availability,
 // not content: the digest exists nowhere reachable, or no store is
@@ -127,29 +100,16 @@ type resolvedPinball struct {
 type storeResolver struct {
 	st      *store.Store
 	locator Locator
-	retry   StoreRetry
 	logf    func(format string, args ...any)
-	// dial is swappable for tests; defaults to DialTimeout.
-	dial func(addr string, d time.Duration) (*Client, error)
-	// rnd is the backoff jitter source (nil = math/rand).
-	rnd   func() float64
-	spool *lru.Cache[string, resolvedPinball]
+	spool   *lru.Cache[string, resolvedPinball]
 }
 
-func newStoreResolver(st *store.Store, loc Locator, retry StoreRetry, spoolCap int, logf func(string, ...any)) *storeResolver {
-	if spoolCap <= 0 {
-		spoolCap = 64
-	}
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
+func newStoreResolver(st *store.Store, loc Locator, logf func(string, ...any)) *storeResolver {
 	return &storeResolver{
 		st:      st,
 		locator: loc,
-		retry:   retry.withDefaults(),
 		logf:    logf,
-		dial:    DialTimeout,
-		spool:   lru.New[string, resolvedPinball](spoolCap),
+		spool:   lru.New[string, resolvedPinball](spoolCacheCap),
 	}
 }
 
@@ -222,7 +182,7 @@ func (r *storeResolver) load(ctx context.Context, digest string) (resolvedPinbal
 	if errors.Is(err, store.ErrNotFound) {
 		// This daemon never held the digest: plain re-fetch from whoever
 		// the fleet ranks for it, then store and materialize locally.
-		data, ferr := r.fetchFromPeers(ctx, digest)
+		data, ferr := r.refetch(ctx, digest)
 		if ferr != nil {
 			return resolvedPinball{}, fmt.Errorf("%w: digest %s held by no reachable peer: %v", errStoreUnavailable, digest, ferr)
 		}
@@ -240,7 +200,7 @@ func (r *storeResolver) load(ctx context.Context, digest string) (resolvedPinbal
 	// mismatch); the read already quarantined the bad object. Rung 2:
 	// replace the whole file from a peer replica.
 	r.logf("sessiond: store copy of %s damaged (%v); healing from peers", digest, err)
-	if data, ferr := r.fetchFromPeers(ctx, digest); ferr == nil {
+	if data, ferr := r.refetch(ctx, digest); ferr == nil {
 		if herr := r.st.Heal(digest, data); herr == nil {
 			if path, merr := r.st.Materialize(digest); merr == nil {
 				return resolvedPinball{path: path, healed: true}, nil
@@ -268,14 +228,14 @@ func (r *storeResolver) load(ctx context.Context, digest string) (resolvedPinbal
 	return resolvedPinball{}, err
 }
 
-// fetchFromPeers downloads digest's validated bytes from the fleet.
-// The first-ranked peer is dialed immediately; if it has not answered
-// within HedgeAfter, the next-ranked peer (the rendezvous successor —
-// where the replicated put landed) is raced against it. Failures move
-// down the ranking with decorrelated-jitter backoff, bounded by
-// Attempts total dials. The first validated answer wins; losers'
-// connections are closed so their transfers stop.
-func (r *storeResolver) fetchFromPeers(ctx context.Context, digest string) ([]byte, error) {
+// refetch downloads digest's validated bytes from the fleet peers the
+// locator ranks for it: the best peer first, hedged with the next one
+// (the rendezvous successor — where the replicated put landed) if it
+// has not answered within refetchHedgeAfter, failing down the ranking
+// with backoff. A peer's answer counts only if it hashes to digest.
+// The first validated answer wins; losers' connections are closed so
+// their transfers stop.
+func (r *storeResolver) refetch(ctx context.Context, digest string) ([]byte, error) {
 	var addrs []string
 	if r.locator != nil {
 		addrs = r.locator.Locate(digest)
@@ -283,113 +243,49 @@ func (r *storeResolver) fetchFromPeers(ctx context.Context, digest string) ([]by
 	if len(addrs) == 0 {
 		return nil, errors.New("no fleet peer to fetch from")
 	}
-	if len(addrs) > r.retry.Attempts {
-		addrs = addrs[:r.retry.Attempts]
+	policy := supervisor.FailoverPolicy{
+		Attempts:   refetchAttempts,
+		Base:       refetchBackoffBase,
+		Max:        refetchBackoffMax,
+		HedgeAfter: refetchHedgeAfter,
 	}
-
-	type outcome struct {
-		data []byte
-		addr string
-		err  error
-	}
-	results := make(chan outcome, len(addrs))
-	var mu sync.Mutex
-	var open []*Client
-	aborted := false
-	launch := func(addr string) {
-		go func() {
-			c, err := r.dial(addr, r.retry.DialTimeout)
-			if err != nil {
-				results <- outcome{nil, addr, err}
-				return
-			}
-			mu.Lock()
-			if aborted {
-				mu.Unlock()
-				c.Close()
-				results <- outcome{nil, addr, errors.New("fetch aborted: another peer answered first")}
-				return
-			}
-			open = append(open, c)
-			mu.Unlock()
-			defer c.Close()
-			c.SetDeadline(time.Now().Add(r.retry.FetchTimeout))
-			resp, err := c.Do(&Request{Op: OpStoreFetch, Digest: digest, StoreNoHeal: true, Proto: ProtoCurrent})
-			if err != nil {
-				results <- outcome{nil, addr, err}
-				return
-			}
-			if !resp.OK {
-				results <- outcome{nil, addr, fmt.Errorf("peer %s: %s: %s", addr, resp.Code, resp.Error)}
-				return
-			}
-			var fr StoreFetchResult
-			if err := json.Unmarshal(resp.Result, &fr); err != nil {
-				results <- outcome{nil, addr, fmt.Errorf("peer %s: malformed fetch result: %v", addr, err)}
-				return
-			}
-			// Validate before trusting: a peer's answer must hash to the
-			// digest we asked for, or it is treated as one more failure.
-			if got := store.Digest(fr.Blob); got != digest {
-				results <- outcome{nil, addr, fmt.Errorf("peer %s returned bytes hashing to %s, want %s", addr, got, digest)}
-				return
-			}
-			results <- outcome{fr.Blob, addr, nil}
-		}()
-	}
-	abort := func() {
-		mu.Lock()
-		aborted = true
-		cs := open
-		open = nil
-		mu.Unlock()
-		for _, c := range cs {
-			c.Close()
+	data, _, dispatches, err := supervisor.Failover(ctx, len(addrs), policy, func(ctx context.Context, i int) ([]byte, error) {
+		if i > 0 {
+			r.logf("sessiond: fetching %s from peer %s", digest, addrs[i])
 		}
+		return fetchPeer(ctx, addrs[i], digest)
+	})
+	if err != nil {
+		return nil, fmt.Errorf("all %d peers failed, last: %w", dispatches, err)
 	}
+	return data, nil
+}
 
-	launched := 1
-	pending := 1
-	launch(addrs[0])
-	hedge := time.NewTimer(r.retry.HedgeAfter)
-	defer hedge.Stop()
-	var backoff time.Duration
-	var lastErr error
-	for {
-		select {
-		case <-ctx.Done():
-			abort()
-			return nil, ctx.Err()
-		case <-hedge.C:
-			if launched < len(addrs) {
-				r.logf("sessiond: hedging fetch of %s to %s", digest, addrs[launched])
-				launch(addrs[launched])
-				launched++
-				pending++
-			}
-		case out := <-results:
-			pending--
-			if out.err == nil {
-				abort()
-				return out.data, nil
-			}
-			lastErr = out.err
-			if launched < len(addrs) {
-				backoff = supervisor.DecorrelatedJitter(backoff, r.retry.Base, r.retry.Max, r.rnd)
-				select {
-				case <-time.After(backoff):
-				case <-ctx.Done():
-					abort()
-					return nil, ctx.Err()
-				}
-				launch(addrs[launched])
-				launched++
-				pending++
-			} else if pending == 0 {
-				return nil, fmt.Errorf("all %d peers failed, last: %w", launched, lastErr)
-			}
-		}
+// fetchPeer downloads and validates digest from one peer; the
+// connection closes when ctx ends.
+func fetchPeer(ctx context.Context, addr, digest string) ([]byte, error) {
+	c, err := DialTimeout(addr, refetchDialTimeout)
+	if err != nil {
+		return nil, err
 	}
+	defer c.Close()
+	defer context.AfterFunc(ctx, func() { c.Close() })()
+	c.SetDeadline(time.Now().Add(refetchFetchTimeout))
+	resp, err := c.Do(&Request{Op: OpStoreFetch, Digest: digest, StoreNoHeal: true, Proto: ProtoCurrent})
+	if err != nil {
+		return nil, err
+	}
+	if !resp.OK {
+		return nil, fmt.Errorf("peer %s: %s: %s", addr, resp.Code, resp.Error)
+	}
+	var fr StoreFetchResult
+	if err := json.Unmarshal(resp.Result, &fr); err != nil {
+		return nil, fmt.Errorf("peer %s: malformed fetch result: %v", addr, err)
+	}
+	if got := store.Digest(fr.Blob); got != digest {
+		return nil, fmt.Errorf("peer %s returned bytes hashing to %s, want %s", addr, got, digest)
+	}
+	return fr.Blob, nil
 }
 
 // storeOp answers the four store ops against the daemon's local store.
@@ -430,7 +326,7 @@ func (s *Server) storeOp(req *Request) Response {
 		if err != nil && !req.StoreNoHeal && !errors.Is(err, store.ErrNotFound) {
 			// Our copy is damaged: heal from peers before serving, so a
 			// client fetch repairs the replica as a side effect.
-			if hdata, herr := s.resolver.fetchFromPeers(s.hardCtx, digest); herr == nil {
+			if hdata, herr := s.resolver.refetch(s.hardCtx, digest); herr == nil {
 				if st.Heal(digest, hdata) == nil {
 					if d2, gerr := st.Get(digest); gerr == nil {
 						data, err, healed = d2, nil, true

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
@@ -89,17 +88,13 @@ func loadManifest(path string) (*manifest, error) {
 	if len(data) == 0 {
 		return m, nil
 	}
-	off := int64(0)
-	sc := bufio.NewScanner(bytes.NewReader(data))
-	sc.Buffer(make([]byte, 0, 64<<10), 16<<20)
-	first := true
-	for sc.Scan() {
-		line := sc.Bytes()
-		lineLen := int64(len(line)) + 1 // + newline
+	for off := int64(0); off < int64(len(data)); {
 		// A final line without its newline (or mid-JSON) is a torn append.
-		atEOF := off+int64(len(line)) >= int64(len(data))
-		if first {
-			first = false
+		line, next, atEOF := data[off:], int64(len(data)), true
+		if i := bytes.IndexByte(line, '\n'); i >= 0 {
+			line, next, atEOF = line[:i], off+int64(i)+1, false
+		}
+		if off == 0 {
 			var hdr struct {
 				V int `json:"drstore"`
 			}
@@ -110,25 +105,21 @@ func loadManifest(path string) (*manifest, error) {
 				}
 				return nil, fmt.Errorf("%w: bad header %q", ErrManifestCorrupt, truncateForError(line))
 			}
-			off += lineLen
-			continue
-		}
-		var r record
-		if err := json.Unmarshal(line, &r); err != nil || !applyRecord(m, &r) {
-			if atEOF {
-				m.torn, m.tornOff = true, off
-				return m, nil
+		} else {
+			var r record
+			if err := json.Unmarshal(line, &r); err != nil || !applyRecord(m, &r) {
+				if atEOF {
+					m.torn, m.tornOff = true, off
+					return m, nil
+				}
+				return nil, fmt.Errorf("%w: record at byte offset %d: %q", ErrManifestCorrupt, off, truncateForError(line))
 			}
-			return nil, fmt.Errorf("%w: record at byte offset %d: %q", ErrManifestCorrupt, off, truncateForError(line))
 		}
-		off += lineLen
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrManifestCorrupt, err)
+		off = next
 	}
 	// A file that does not end in a newline tore mid-append even if the
 	// fragment happened to parse (e.g. truncation landing on a brace).
-	if data[len(data)-1] != '\n' && !m.torn {
+	if data[len(data)-1] != '\n' {
 		m.torn, m.tornOff = true, int64(len(data))
 	}
 	return m, nil

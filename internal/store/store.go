@@ -159,11 +159,30 @@ func (s *Store) appendRecords(recs ...*record) error {
 		}
 		buf = append(buf, line...)
 	}
-	f, err := os.OpenFile(s.manifestPath(), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(s.manifestPath(), os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
 		return fmt.Errorf("store: open manifest: %w", err)
 	}
 	defer f.Close()
+	if s.man.torn {
+		// Cut a crash-torn tail before the first append, or the new line
+		// would glue onto the fragment and corrupt the file mid-stream.
+		// A tail that parsed whole but lacks its newline is kept and
+		// terminated instead.
+		if err := f.Truncate(s.man.tornOff); err != nil {
+			return fmt.Errorf("store: cut torn manifest tail: %w", err)
+		}
+		last := []byte{'\n'}
+		if s.man.tornOff > 0 {
+			if _, err := f.ReadAt(last, s.man.tornOff-1); err != nil {
+				return fmt.Errorf("store: read manifest tail: %w", err)
+			}
+		}
+		if last[0] != '\n' {
+			buf = append([]byte{'\n'}, buf...)
+		}
+		s.man.torn, s.man.tornOff = false, 0
+	}
 	st, err := f.Stat()
 	if err != nil {
 		return fmt.Errorf("store: stat manifest: %w", err)

@@ -21,6 +21,7 @@
 package supervisor
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -231,6 +232,115 @@ func DecorrelatedJitter(prev, base, max time.Duration, rnd func() float64) time.
 		d = max
 	}
 	return d
+}
+
+// FailoverPolicy tunes Failover. The zero value tries 3 candidates in
+// turn with a 10ms..1s decorrelated-jitter backoff and never hedges.
+type FailoverPolicy struct {
+	// Attempts bounds the dispatches of one race, hedges included
+	// (default 3).
+	Attempts int
+	// Base and Max shape the decorrelated-jitter backoff waited after a
+	// failed attempt before the next candidate is dispatched.
+	Base time.Duration
+	Max  time.Duration
+	// HedgeAfter dispatches the next candidate alongside a straggler
+	// that has not answered this long after the race began (0 = never
+	// hedge). Only idempotent work may be hedged.
+	HedgeAfter time.Duration
+	// Sleep and Rand inject the backoff's timing and jitter (nil =
+	// time.Sleep / math/rand). The hedge timer is always real time.
+	Sleep func(time.Duration)
+	Rand  func() float64
+}
+
+// ErrNoCandidates is Failover's error when there is nothing to try.
+var ErrNoCandidates = errors.New("supervisor: no candidate to try")
+
+// Failover races try over n ranked candidates, best first. It starts
+// candidate 0; an attempt that returns an error costs one backoff
+// before the next candidate is dispatched, and a race still unanswered
+// after HedgeAfter dispatches the next candidate alongside the running
+// ones. The first success wins and cancels every other attempt's ctx.
+// Attempts and ctx bound the whole race. It returns the winner, the
+// winner's index and the number of dispatches; on failure the error is
+// the last attempt's (or ctx's). try must treat any answer that should
+// not fail over as a success, and return promptly once its ctx ends:
+// Failover does not wait for losers, so a winner is never held up by a
+// loser's teardown.
+func Failover[T any](ctx context.Context, n int, p FailoverPolicy, try func(ctx context.Context, i int) (T, error)) (T, int, int, error) {
+	if p.Attempts <= 0 {
+		p.Attempts = 3
+	}
+	if p.Sleep == nil {
+		p.Sleep = time.Sleep
+	}
+	var zero T
+	limit := min(n, p.Attempts)
+	if limit <= 0 {
+		return zero, -1, 0, ErrNoCandidates
+	}
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+
+	type result struct {
+		v   T
+		i   int
+		err error
+	}
+	results := make(chan result, limit) // one slot per dispatch: a loser never blocks
+	next, running := 0, 0
+	launch := func() {
+		i := next
+		next++
+		running++
+		go func() {
+			v, err := try(ctx, i)
+			results <- result{v, i, err}
+		}()
+	}
+	launch()
+
+	var hedge <-chan time.Time
+	if p.HedgeAfter > 0 && limit > 1 {
+		t := time.NewTimer(p.HedgeAfter)
+		defer t.Stop()
+		hedge = t.C
+	}
+	var backoff chan struct{} // non-nil while a backoff wait is pending
+	var prev time.Duration
+	var lastErr error
+	for running > 0 || backoff != nil {
+		select {
+		case r := <-results:
+			running--
+			if r.err == nil {
+				return r.v, r.i, next, nil
+			}
+			lastErr = r.err
+			if next < limit && backoff == nil {
+				prev = DecorrelatedJitter(prev, p.Base, p.Max, p.Rand)
+				backoff = make(chan struct{})
+				go func(d time.Duration, done chan struct{}) {
+					p.Sleep(d)
+					close(done)
+				}(prev, backoff)
+			}
+		case <-backoff:
+			backoff = nil
+			launch()
+		case <-hedge:
+			hedge = nil
+			// Hedge a straggler only; after a failure the pending backoff
+			// dispatches the next candidate.
+			if running > 0 && backoff == nil && next < limit {
+				launch()
+			}
+		case <-ctx.Done():
+			return zero, -1, next, ctx.Err()
+		}
+	}
+	return zero, -1, next, lastErr
 }
 
 // Attempt records one supervised execution of the phase function.
